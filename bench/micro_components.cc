@@ -1,7 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the core components: knapsack
-// solver (DP vs greedy — the ablation of DESIGN.md §6.4), cache models
-// (exact vs analytic — §6.5), the arena allocator, minimpi collectives,
-// and the migration engine's copy path.
+// solver (DP vs greedy), cache models (exact vs analytic), the arena
+// allocator, minimpi collectives, and the migration engine's copy path.
 //
 // The *Production benchmarks below are the before/after anchors recorded in
 // BENCH_components.json (see scripts/bench_components.sh and the README

@@ -8,20 +8,32 @@ Scans README.md, ROADMAP.md, and docs/**/*.md for inline links/images
   * an anchor (`file.md#section` or `#section`) that matches no heading
     in the target markdown file (GitHub's heading-slug rules).
 
+It also scans the comments of the sources under src/, tools/, bench/ and
+tests/ (`//` and `/* */` in C++, `#` in Python) and fails on a `*.md` file
+name that exists neither at the repo root nor beside the source file (a
+comment citing a design document that was never written, say).
+
 External links (http/https/mailto) and targets that resolve outside the
 repository (e.g. the CI badge's `../../actions/...` GitHub-site path)
 are skipped — this check never needs the network.
 
+Usage: check_md_links.py [--root DIR]   (DIR defaults to this repo)
 Exit status: 0 clean, 1 dead links (each printed as file:line: message).
 """
 
+import argparse
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = ["README.md", "ROADMAP.md"]
 DOC_DIRS = ["docs"]
+COMMENT_DIRS = ["src", "tools", "bench", "tests"]
+CPP_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
+# A markdown file name, optionally with a relative directory part.
+MD_REF_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w.-]+\.md)\b")
 
 # Inline links/images: [text](target "title") — target ends at the first
 # unbalanced ')' or whitespace-before-title.  Good enough for this repo's
@@ -58,14 +70,14 @@ def heading_slugs(md_path: Path) -> set:
     return slugs
 
 
-def doc_files():
-    files = [REPO / f for f in DOC_FILES if (REPO / f).exists()]
+def doc_files(root: Path):
+    files = [root / f for f in DOC_FILES if (root / f).exists()]
     for d in DOC_DIRS:
-        files.extend(sorted((REPO / d).glob("**/*.md")))
+        files.extend(sorted((root / d).glob("**/*.md")))
     return files
 
 
-def check_file(md_path: Path, slug_cache: dict) -> list:
+def check_file(md_path: Path, slug_cache: dict, root: Path) -> list:
     errors, in_fence = [], False
     for lineno, line in enumerate(
             md_path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -82,12 +94,12 @@ def check_file(md_path: Path, slug_cache: dict) -> list:
             if path_part:
                 resolved = (md_path.parent / path_part).resolve()
                 try:
-                    resolved.relative_to(REPO)
+                    resolved.relative_to(root)
                 except ValueError:
                     continue  # escapes the repo (GitHub-site path): skip
                 if not resolved.exists():
                     errors.append((lineno, f"dead link: {target} "
-                                   f"({resolved.relative_to(REPO)} missing)"))
+                                   f"({resolved.relative_to(root)} missing)"))
                     continue
             else:
                 resolved = md_path
@@ -97,18 +109,84 @@ def check_file(md_path: Path, slug_cache: dict) -> list:
                 if anchor.lower() not in slug_cache[resolved]:
                     errors.append((lineno, f"dead anchor: {target} "
                                    f"(no such heading in "
-                                   f"{resolved.relative_to(REPO)})"))
+                                   f"{resolved.relative_to(root)})"))
+    return errors
+
+
+def python_comments(path: Path):
+    """(line number, text) of each `#` comment in a Python file."""
+    with path.open("rb") as f:
+        try:
+            for tok in tokenize.tokenize(f.readline):
+                if tok.type == tokenize.COMMENT:
+                    yield tok.start[0], tok.string[1:]
+        except (tokenize.TokenError, SyntaxError):
+            return
+
+
+def cpp_comments(path: Path):
+    """(line number, comment text) for each line of a C++ file with a
+    `//` or `/* */` comment (string literals are not parsed)."""
+    in_block = False
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8", errors="replace").splitlines(),
+            start=1):
+        text, rest = [], line
+        while rest:
+            if in_block:
+                end = rest.find("*/")
+                text.append(rest if end < 0 else rest[:end])
+                rest = "" if end < 0 else rest[end + 2:]
+                in_block = end < 0
+                continue
+            line_c, block_c = rest.find("//"), rest.find("/*")
+            if line_c >= 0 and (block_c < 0 or line_c < block_c):
+                text.append(rest[line_c + 2:])
+                break
+            if block_c < 0:
+                break
+            rest, in_block = rest[block_c + 2:], True
+        if text:
+            yield lineno, " ".join(text)
+
+
+def source_files(root: Path):
+    files = []
+    for d in COMMENT_DIRS:
+        files.extend(p for p in sorted((root / d).glob("**/*"))
+                     if p.is_file() and (p.suffix in CPP_SUFFIXES
+                                         or p.suffix == ".py"))
+    return files
+
+
+def check_comments(src: Path, root: Path) -> list:
+    errors = []
+    comments = cpp_comments if src.suffix in CPP_SUFFIXES else python_comments
+    for lineno, text in comments(src):
+        for m in MD_REF_RE.finditer(text):
+            ref = m.group(1)
+            if not ((root / ref).exists() or (src.parent / ref).exists()):
+                errors.append((lineno, f"comment names missing file: {ref}"))
     return errors
 
 
 def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=REPO,
+                    help="repository root to check (default: this repo)")
+    root = ap.parse_args().root.resolve()
     failed = 0
     slug_cache = {}
-    for md in doc_files():
-        for lineno, msg in check_file(md, slug_cache):
-            print(f"{md.relative_to(REPO)}:{lineno}: {msg}")
+    docs, sources = doc_files(root), source_files(root)
+    for md in docs:
+        for lineno, msg in check_file(md, slug_cache, root):
+            print(f"{md.relative_to(root)}:{lineno}: {msg}")
             failed += 1
-    n = len(doc_files())
+    for src in sources:
+        for lineno, msg in check_comments(src, root):
+            print(f"{src.relative_to(root)}:{lineno}: {msg}")
+            failed += 1
+    n = len(docs) + len(sources)
     if failed:
         print(f"check_md_links: {failed} dead link(s) across {n} file(s)")
         return 1

@@ -3,11 +3,12 @@
 # matrix (.github/workflows/ci.yml — each matrix job runs exactly one
 # stage):
 #
-#   scripts/ci.sh docs      markdown link check over README/ROADMAP/docs/
-#                           (no build; also runs first in the release stage)
-#   scripts/ci.sh release   docs -> configure+build (RelWithDebInfo) ->
-#                           tier-1 -> e2e aggregates -> bench smoke ->
-#                           sweep smoke
+#   scripts/ci.sh docs      markdown link check over README/ROADMAP/docs/,
+#                           plus *.md names in source comments (no build;
+#                           also runs first in the release stage)
+#   scripts/ci.sh release   docs -> benchmark gate self-test ->
+#                           configure+build (RelWithDebInfo) -> tier-1 ->
+#                           e2e aggregates -> bench smoke -> sweep smoke
 #   scripts/ci.sh asan      ASan+UBSan Debug build -> tier-1
 #   scripts/ci.sh tsan      TSan Debug build -> tier-1 -> sweep smoke
 #                           (minimpi + the migration helper thread + the
@@ -23,12 +24,19 @@ JOBS="${JOBS:-$(nproc)}"
 stage_docs() {
   echo "== [docs] markdown link check =="
   # Fails on intra-repo links/anchors that point nowhere (README, ROADMAP,
-  # docs/**).  External URLs are skipped — no network in CI paths.
+  # docs/**), and on comments under src/, tools/, bench/ and tests/ that
+  # name a *.md file that does not exist.  External URLs are skipped — no
+  # network in CI paths.
   python3 scripts/check_md_links.py
 }
 
 stage_release() {
   stage_docs
+
+  echo "== [release] benchmark gate self-test =="
+  # Builds nothing: feeds perfbench's correctness gate a flipped-checksum
+  # row and a failed row and expects both to be caught.
+  python3 perfbench/run.py --self-test
 
   echo "== [release] configure =="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo

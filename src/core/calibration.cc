@@ -1,6 +1,7 @@
 #include "core/calibration.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/units.h"
 #include "perfmon/sampler.h"
@@ -64,12 +65,13 @@ ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
   p.t1_percent = opts.t1_percent;
   p.t2_percent = opts.t2_percent;
 
-  // A scratch buffer to give descriptors real addresses (contents unused).
-  std::vector<std::byte> scratch(opts.region_bytes);
+  // A scratch buffer to give descriptors real addresses.  Its contents are
+  // never read, so it is left uninitialized rather than zero-filled.
+  auto scratch = std::make_unique_for_overwrite<std::byte[]>(opts.region_bytes);
 
   // --- BW_peak: STREAM over NVM, maximum concurrency (Eq. 1) -------------
   cache::AccessDescriptor stream;
-  stream.base = scratch.data();
+  stream.base = scratch.get();
   stream.region_bytes = opts.region_bytes;
   stream.pattern = cache::Pattern::kSequential;
   stream.accesses = 2 * (opts.region_bytes / 8);  // two passes over doubles
@@ -94,7 +96,7 @@ ModelParams calibrate(const mem::HmsConfig& hms, cache::CacheModel& cache,
 
   // --- CF_lat: pointer chase (single thread, no concurrency) on DRAM -----
   cache::AccessDescriptor chase;
-  chase.base = scratch.data();
+  chase.base = scratch.get();
   chase.region_bytes = opts.region_bytes;
   chase.pattern = cache::Pattern::kPointerChase;
   chase.accesses = std::max<std::uint64_t>(1, opts.region_bytes / 1024);

@@ -5,7 +5,7 @@
 // DRAM size constraint.  This is a 0-1 knapsack problem", solved by dynamic
 // programming.  Sizes are quantized to a granule so the DP table stays
 // small; a greedy-by-density fallback handles degenerate capacities and
-// serves as the ablation baseline (DESIGN.md §6.4).
+// is the DP's comparison baseline in bench/micro_components.cc.
 //
 // On an N-tier machine the placement problem generalizes to a
 // multiple-choice knapsack (MCKP): each unit picks *a* tier — not in/out of
@@ -63,8 +63,8 @@ class KnapsackSolver {
   KnapsackResult solve(const std::vector<KnapsackItem>& items,
                        std::size_t capacity_bytes) const;
 
-  /// Greedy by weight density (weight/bytes); not optimal, used for
-  /// comparison and as the ablation baseline (DESIGN.md §6.4).
+  /// Greedy by weight density (weight/bytes); not optimal, the DP's
+  /// comparison baseline in bench/micro_components.cc.
   KnapsackResult solve_greedy(const std::vector<KnapsackItem>& items,
                               std::size_t capacity_bytes) const;
 

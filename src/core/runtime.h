@@ -159,7 +159,7 @@ class Runtime final : public Context, public mpi::PmpiHooks {
  public:
   /// `comm` may be nullptr (single-rank); `arbiter` may be nullptr (then
   /// the DRAM arena alone bounds placement).  unimem_init: spawns the
-  /// helper thread, calibrates the model (cached per configuration).
+  /// helper thread and calibrates the model once for this Runtime.
   Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
           mem::DramArbiter* arbiter, mpi::Comm* comm);
   ~Runtime() override;

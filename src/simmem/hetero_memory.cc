@@ -16,6 +16,11 @@ HeteroMemory::HeteroMemory(TopologyConfig cfg)
     std::abort();
   }
   cfg_ = HmsConfig{tiers_.front(), tiers_.back()};
+  // Free pooled buffers no tier of this machine can take before building
+  // the tiers, so recycling never holds more than the previous machine.
+  std::vector<std::size_t> capacities;
+  for (const TierConfig& t : tiers_) capacities.push_back(t.capacity_bytes);
+  Arena::retain_pooled(capacities);
   arenas_.reserve(tiers_.size());
   for (const TierConfig& t : tiers_)
     arenas_.push_back(std::make_unique<Arena>(t.capacity_bytes));

@@ -1,6 +1,7 @@
 // The heterogeneous main-memory system (HMS): an ordered set of memory
 // tiers sharing a physical address space (one arena per tier in the host
-// process).  The paper's machine is the 2-tier special case — one small
+// process; arena buffers are recycled across machines built on one thread,
+// see arena.h).  The paper's machine is the 2-tier special case — one small
 // fast DRAM tier and one large slow NVM tier; a TopologyConfig generalizes
 // to N tiers (HBM above DRAM, CXL far memory, remote pools).  Provides
 // tier-tagged allocation and the inter-tier copy-cost model used by the
@@ -39,8 +40,8 @@ struct HmsConfig {
   TierConfig nvm;
 
   /// Evaluation default: 8 MiB DRAM + 512 MiB NVM (the paper's 256 MB DRAM /
-  /// 16 GB NVM scaled by 32x; see DESIGN.md §5), NVM at `bw_ratio` of DRAM
-  /// bandwidth and `lat_mult` of DRAM latency.
+  /// 16 GB NVM scaled down 32x so a sweep fits on one host), NVM at
+  /// `bw_ratio` of DRAM bandwidth and `lat_mult` of DRAM latency.
   static HmsConfig scaled(double bw_ratio, double lat_mult,
                           std::size_t dram_cap = 8 * kMiB,
                           std::size_t nvm_cap = 512 * kMiB) {

@@ -24,7 +24,8 @@
 namespace unimem::wl {
 
 struct WorkloadConfig {
-  /// NPB-style input class (scaled; see DESIGN.md §5): S/A/C/D.
+  /// NPB-style input class S/A/C/D, scaled down with the machine (see
+  /// global_footprint()).
   char cls = 'C';
   int iterations = 10;
   /// Ranks sharing the global problem (strong scaling divides the data).

@@ -4,6 +4,10 @@
 //   DRAM-only <= Unimem <= NVM-only   (in execution time).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
+#include "core/registry.h"
 #include "experiments/runner.h"
 
 namespace unimem::exp {
@@ -130,9 +134,8 @@ TEST(Integration, UnimemCompetitiveWithXMenOnPhaseVaryingNek) {
   cfg.policy = Policy::kNvmOnly;
   RunResult nvm = run_once(cfg);
   // Paper §5 reports Unimem 10% better than X-Men on Nek5000.  Our
-  // reproduction reaches parity (within 5%) — see EXPERIMENTS.md for why
-  // the rotation-enforcement gap keeps the full 10% out of reach — while
-  // both beat NVM-only decisively.  Note X-Men here is conservatively
+  // reproduction reaches parity (within 5%) — the rotation-enforcement gap
+  // keeps the full 10% out of reach — while both beat NVM-only decisively.  Note X-Men here is conservatively
   // granted exact (PIN-grade) profiles; Unimem works from sampled ones.
   EXPECT_LT(uni.time_s, xmen.time_s * 1.05);
   EXPECT_LT(uni.time_s, nvm.time_s);
@@ -167,6 +170,74 @@ TEST(Integration, TierLadderNeverSlowerThanBackstopOnly) {
   RunResult uni = run_once(cfg);
   EXPECT_DOUBLE_EQ(uni.checksum, backstop.checksum);
   EXPECT_LE(uni.time_s, backstop.time_s * 1.02);
+}
+
+// ---- Arena-buffer recycling ------------------------------------------------
+// A thread reuses the tier-arena buffers of the worlds it ran before (see
+// src/simmem/arena.h).  Recycled buffers are dirty, so these check that a
+// warm thread computes exactly what a fresh one does.
+
+TEST(Integration, RecycledArenaObjectsStartZeroed) {
+  std::thread([] {
+    const mem::HmsConfig cfg =
+        mem::HmsConfig::scaled(0.5, 4.0, 4 * kMiB, 32 * kMiB);
+    void* first_world_ptr = nullptr;
+    for (int world = 0; world < 2; ++world) {
+      mem::HeteroMemory hms(cfg);
+      rt::Registry reg(&hms, nullptr);
+      rt::DataObject* obj =
+          reg.create("x", 256 * kKiB, rt::ObjectTraits{}, mem::Tier::kNvm);
+      auto bytes = obj->as_span<unsigned char>();
+      EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(),
+                              [](unsigned char b) { return b == 0; }))
+          << "world " << world;
+      std::fill(bytes.begin(), bytes.end(), 0xab);  // dirty for the next one
+      if (world == 0) first_world_ptr = bytes.data();
+      else EXPECT_EQ(bytes.data(), first_world_ptr);  // the buffer was reused
+    }
+  }).join();
+}
+
+RunResult run_on_fresh_thread(const RunConfig& cfg) {
+  RunResult r;
+  std::thread([&] { r = run_once(cfg); }).join();
+  return r;
+}
+
+void expect_bit_identical(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.time_s, b.time_s);
+  EXPECT_EQ(a.checksum, b.checksum);
+  EXPECT_EQ(a.total_migrations, b.total_migrations);
+  EXPECT_EQ(a.total_bytes_moved, b.total_bytes_moved);
+  EXPECT_EQ(a.total_copy_s, b.total_copy_s);
+  EXPECT_EQ(a.total_exposed_s, b.total_exposed_s);
+  EXPECT_EQ(a.mean_overhead_percent, b.mean_overhead_percent);
+  EXPECT_EQ(a.mean_overlap_percent, b.mean_overlap_percent);
+  EXPECT_EQ(a.dag_critical_path_s, b.dag_critical_path_s);
+  EXPECT_EQ(a.stats.total_time_s, b.stats.total_time_s);
+  EXPECT_EQ(a.stats.overhead_s, b.stats.overhead_s);
+  EXPECT_EQ(a.stats.phases_executed, b.stats.phases_executed);
+  EXPECT_EQ(a.stats.migration.migrations, b.stats.migration.migrations);
+  EXPECT_EQ(a.stats.migration.exposed_wait_s, b.stats.migration.exposed_wait_s);
+}
+
+TEST(Integration, WarmThreadRunsMatchFreshThreadRuns) {
+  RunConfig uni = base_cfg("cg");
+  uni.policy = Policy::kUnimem;
+  RunConfig xmen = uni;
+  xmen.policy = Policy::kXMen;  // two passes: offline profile + measured
+  const RunResult fresh_uni = run_on_fresh_thread(uni);
+  const RunResult fresh_xmen = run_on_fresh_thread(xmen);
+  ASSERT_GT(fresh_uni.total_migrations, 0u);
+
+  RunResult warm_xmen, warm_uni;
+  std::thread([&] {
+    run_once(uni);  // leaves this thread's pool holding dirty buffers
+    warm_xmen = run_once(xmen);
+    warm_uni = run_once(uni);
+  }).join();
+  expect_bit_identical(warm_xmen, fresh_xmen);
+  expect_bit_identical(warm_uni, fresh_uni);
 }
 
 }  // namespace

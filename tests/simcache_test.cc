@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.h"
@@ -295,6 +296,14 @@ struct AgreeCase {
   std::uint64_t accesses;
   double tolerance;  ///< relative miss-count tolerance
 };
+
+// Without this, GoogleTest prints (and names each case after) a byte dump of
+// the struct, whose padding after `pattern` holds whatever was on the stack,
+// so the test names would change from one run to the next.
+void PrintTo(const AgreeCase& tc, std::ostream* os) {
+  *os << pattern_name(tc.pattern) << " region=" << tc.region / kKiB
+      << "KiB accesses=" << tc.accesses << " tol=" << tc.tolerance;
+}
 
 class CacheAgreement : public ::testing::TestWithParam<AgreeCase> {};
 

@@ -1,12 +1,14 @@
 // Tests for the tiered-memory substrate: arena allocator invariants,
 // tier configs (Table 1), the HMS copy model, the DRAM arbiter, and the
 // N-tier topology layer (backend registry, parse_topology, per-tier
-// arbiter allowances).
+// arbiter allowances), and arena-buffer recycling across machines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -301,6 +303,105 @@ TEST(DramArbiter, ConcurrentRequestsStayBounded) {
   EXPECT_EQ(granted.load(), 1000);
   EXPECT_EQ(arb.available(), 0u);
 }
+
+// ---- Arena-buffer recycling ------------------------------------------------
+// Each case runs on a fresh thread so it starts from an empty pool.
+
+void on_fresh_thread(const std::function<void()>& body) {
+  std::thread(body).join();
+}
+
+/// A fixed allocation sequence on every tier: returns the addresses it got.
+std::vector<void*> allocate_sequence(HeteroMemory& hms) {
+  std::vector<void*> out;
+  for (std::size_t k = 0; k < hms.num_tiers(); ++k) {
+    void* a = hms.allocate(tier(static_cast<int>(k)), 100 * kKiB);
+    void* b = hms.allocate(tier(static_cast<int>(k)), 3 * kKiB);
+    hms.deallocate(tier(static_cast<int>(k)), a);
+    void* c = hms.allocate(tier(static_cast<int>(k)), 50 * kKiB);
+    out.insert(out.end(), {a, b, c});
+  }
+  return out;
+}
+
+TEST(ArenaRecycling, SameShapeMachineReusesBuffersAndOffsets) {
+  on_fresh_thread([] {
+    const HmsConfig cfg = HmsConfig::scaled(0.5, 4.0, 4 * kMiB, 32 * kMiB);
+    std::vector<void*> first;
+    {
+      HeteroMemory hms(cfg);
+      first = allocate_sequence(hms);
+      std::memset(first[1], 0xab, 3 * kKiB);  // leave dirty contents behind
+    }
+    EXPECT_EQ(Arena::pooled_capacities(),
+              (std::vector<std::size_t>{4 * kMiB, 32 * kMiB}));
+    HeteroMemory hms(cfg);
+    EXPECT_TRUE(Arena::pooled_capacities().empty());  // both tiers took one
+    // Same buffers, same first-fit offsets: the same addresses.
+    EXPECT_EQ(allocate_sequence(hms), first);
+  });
+}
+
+TEST(ArenaRecycling, DifferentShapeLeavesNoUnusedSizeInPool) {
+  on_fresh_thread([] {
+    { HeteroMemory hms(HmsConfig::scaled(0.5, 4.0, 4 * kMiB, 32 * kMiB)); }
+    {
+      // The 4 MiB buffer is reused, the 32 MiB one has no taker: freed.
+      HeteroMemory hms(HmsConfig::scaled(0.5, 4.0, 4 * kMiB, 64 * kMiB));
+      EXPECT_TRUE(Arena::pooled_capacities().empty());
+    }
+    EXPECT_EQ(Arena::pooled_capacities(),
+              (std::vector<std::size_t>{4 * kMiB, 64 * kMiB}));
+    {
+      HeteroMemory hms(parse_topology("hbm:1MiB,dram:2MiB,nvm:64MiB"));
+      EXPECT_TRUE(Arena::pooled_capacities().empty());
+    }
+    EXPECT_EQ(Arena::pooled_capacities(),
+              (std::vector<std::size_t>{kMiB, 2 * kMiB, 64 * kMiB}));
+    // Capacities round up to a cache line exactly as the arena's own does.
+    Arena::retain_pooled({kMiB - 1});
+    EXPECT_EQ(Arena::pooled_capacities(), (std::vector<std::size_t>{kMiB}));
+    Arena::retain_pooled({});
+    EXPECT_TRUE(Arena::pooled_capacities().empty());
+  });
+}
+
+TEST(ArenaRecycling, DestroyedOnAnotherThreadJoinsThatThreadsPool) {
+  std::unique_ptr<Arena> arena;
+  on_fresh_thread([&] {
+    arena = std::make_unique<Arena>(kMiB);
+    std::memset(arena->allocate(4 * kKiB), 1, 4 * kKiB);
+  });
+  on_fresh_thread([&] {
+    arena.reset();
+    EXPECT_EQ(Arena::pooled_capacities(), (std::vector<std::size_t>{kMiB}));
+  });  // that thread's pool frees the buffer as the thread exits
+}
+
+TEST(ArenaRecycling, DestroyedAfterItsThreadsPoolIsGone) {
+  on_fresh_thread([] {
+    // Constructed before the pool, so destroyed after it at thread exit:
+    // the arena must then free its buffer instead of pooling it.
+    thread_local std::unique_ptr<Arena> late;
+    late = std::make_unique<Arena>(kMiB);
+    std::memset(late->allocate(4 * kKiB), 1, 4 * kKiB);
+  });
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(ArenaRecyclingDeathTest, StalePointerIntoPooledBufferReports) {
+  EXPECT_DEATH(
+      {
+        volatile char* stale = nullptr;
+        {
+          Arena a(kMiB);
+          stale = static_cast<char*>(a.allocate(64));
+        }
+        stale[0] = 1;
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace unimem::mem
