@@ -1,8 +1,10 @@
 # CLI contract tests for the sweep service layer: strict option parsing
 # (--profiler/--jobs/--indices reject junk and overflow instead of
 # silently truncating), the --merge coverage/gap heuristics, duplicate
-# shard rejection, torn-last-line --resume, and injected-failure recovery
-# through the coordinator with retry counters in the summary JSON.
+# shard rejection, torn-last-line --resume, injected-failure recovery
+# through the coordinator with retry counters in the summary JSON, the
+# --shards N = --launcher fork --workers N alias, and the summary
+# schema_version.
 # Invoked by ctest (label sweep-service) as
 #   cmake -DSWEEP_CLI=... -DWORK_DIR=... -P this_file
 foreach(var SWEEP_CLI WORK_DIR)
@@ -160,5 +162,34 @@ expect_same("${WORK_DIR}/j1.jsonl" "${WORK_DIR}/svc.jsonl"
 cli_expect(0 "stress spec listed" "${SWEEP_CLI}" --list)
 expect_contains("${last_stdout}" "service_stress" "stress spec listed")
 expect_contains("${last_stdout}" "10000" "stress spec listed")
+
+# ---- --shards N is the fork coordinator ------------------------------------
+
+# --shards N means exactly --launcher fork --workers N: combining it with
+# either option is a contradiction, and N must be at least 1.
+cli_expect(1 "shards with launcher"
+           "${SWEEP_CLI}" --spec ${SPEC} --shards 2 --launcher inproc --points)
+expect_contains("${last_stderr}" "--shards N means" "shards with launcher")
+cli_expect(1 "shards with workers"
+           "${SWEEP_CLI}" --spec ${SPEC} --shards 2 --workers 3 --points)
+expect_contains("${last_stderr}" "--shards N means" "shards with workers")
+cli_expect(1 "shards zero" "${SWEEP_CLI}" --spec ${SPEC} --shards 0 --points)
+expect_contains("${last_stderr}" "--shards wants" "shards zero")
+
+# The alias runs the coordinator, so its summary is the service summary.
+cli_expect(0 "shards alias" "${SWEEP_CLI}" --spec ${SPEC} --shards 2 --quiet
+           --summary-json "${WORK_DIR}/shards.json")
+file(READ "${WORK_DIR}/shards.json" summary)
+expect_contains("${summary}" "\"launcher\":\"fork\"" "shards alias summary")
+expect_contains("${summary}" "\"workers\":2," "shards alias summary")
+expect_contains("${summary}" "\"schema_version\":3," "service summary schema")
+
+# ---- summary schema version (README "Summary JSON schema") -----------------
+
+cli_expect(0 "engine summary" "${SWEEP_CLI}" --spec ${SPEC} --jobs 1
+           --indices 0,1 --quiet --summary-json "${WORK_DIR}/engine.json")
+file(READ "${WORK_DIR}/engine.json" summary)
+expect_contains("${summary}" "\"schema_version\":3," "engine summary schema")
+expect_not_contains("${summary}" "\"shards\"" "engine summary schema")
 
 message(STATUS "sweep_service_cases: all CLI service-layer cases passed")

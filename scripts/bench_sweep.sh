@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Measures the sweep engine on a full-size spec — wall clock at --jobs 1
-# vs --jobs 8 vs a fork-based 2-shard run, per-point result identity
-# across all three topologies, and the world count saved by baseline
-# memoization — and records the result under "sweep_engine" in
-# BENCH_components.json (README "Perf methodology").
+# vs --jobs 8 vs a --shards 2 run (the campaign coordinator on the fork
+# launcher with 2 workers, i.e. --launcher fork --workers 2), per-point
+# result identity across all three topologies, and the world count saved
+# by baseline memoization — and records the result under "sweep_engine"
+# in BENCH_components.json (README "Perf methodology").
 #
 # Usage: scripts/bench_sweep.sh [spec] [build-dir]
 set -euo pipefail

@@ -25,24 +25,33 @@ struct Chunk {
   int redispatch = 0;  ///< how many times a dying worker handed them back
 };
 
-bool read_task_meta(const std::string& path, CampaignOutcome* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  std::size_t worlds = 0, breq = 0, bcomp = 0, failed = 0, retries = 0;
-  int jobs = 0;
-  const int n = std::fscanf(f, "%zu %zu %zu %zu %d %zu", &worlds, &breq,
-                            &bcomp, &failed, &jobs, &retries);
-  std::fclose(f);
-  if (n != 6) return false;
-  out->worlds_executed += worlds;
-  out->baseline_requests += breq;
-  out->baseline_computed += bcomp;
-  out->retries += retries;
-  out->jobs_used = std::max(out->jobs_used, jobs);
-  return true;
-}
-
 }  // namespace
+
+ResumeSplit split_resume(const std::vector<SweepPoint>& points,
+                         const std::vector<SweepRow>& prior) {
+  std::map<std::size_t, std::size_t> pos_of;  // point index -> position
+  for (std::size_t i = 0; i < points.size(); ++i) pos_of[points[i].index] = i;
+  std::vector<const SweepRow*> accepted(points.size(), nullptr);
+  for (const SweepRow& row : prior) {
+    const auto it = pos_of.find(row.index);
+    if (it == pos_of.end()) continue;  // artifact covered a wider filter
+    const SweepPoint& p = points[it->second];
+    if (row.label != p.label)
+      throw std::runtime_error(
+          "resume row " + std::to_string(row.index) + " has label '" +
+          row.label + "' but the spec expands to '" + p.label +
+          "' — stale artifact from another spec?");
+    if (row.ok && accepted[it->second] == nullptr) accepted[it->second] = &row;
+  }
+  ResumeSplit out;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (accepted[i] != nullptr)
+      out.done.push_back(*accepted[i]);
+    else
+      out.todo.push_back(points[i]);
+  }
+  return out;
+}
 
 CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
                              const CoordinatorOptions& opts) {
@@ -73,25 +82,13 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
   };
 
   // Resume: accept prior ok rows up front (point order), re-run the rest.
-  for (const SweepRow& row : opts.resume_rows) {
-    const auto it = pos_of.find(row.index);
-    if (it == pos_of.end()) continue;  // artifact covered a wider filter
-    if (row.label != points[it->second].label)
-      throw std::runtime_error(
-          "run_campaign: resume row " + std::to_string(row.index) +
-          " has label '" + row.label + "' but the spec expands to '" +
-          points[it->second].label + "' — stale artifact from another spec?");
-    if (!row.ok || has[it->second]) continue;
-    finalize(row, it->second);
-    ++out.resumed;
-  }
+  const ResumeSplit split = split_resume(points, opts.resume_rows);
+  for (const SweepRow& row : split.done) finalize(row, pos_of.at(row.index));
+  out.resumed = split.done.size();
 
   // Deal the remaining points: shard_slice per worker (keeps baseline
   // groups together), then cut each slice into chunks.
-  std::vector<SweepPoint> pending;
-  pending.reserve(n - done);
-  for (std::size_t i = 0; i < n; ++i)
-    if (!has[i]) pending.push_back(points[i]);
+  const std::vector<SweepPoint>& pending = split.todo;
 
   std::vector<std::deque<Chunk>> queues(
       static_cast<std::size_t>(opts.workers));
@@ -103,7 +100,7 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     if (chunk == 0)
       // With stealing, give every worker a few chunks so there is
       // something to steal; without it, chunking only adds dispatch
-      // overhead — one task per worker, like run_sharded_processes.
+      // overhead — one task per worker.
       chunk = opts.steal ? std::max<std::size_t>(1, slice.size() / 4)
                          : slice.size();
     for (std::size_t b = 0; b < slice.size(); b += chunk) {
@@ -223,7 +220,18 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     } catch (const std::exception&) {
       rows.clear();  // no artifact at all: every point is unfinished
     }
-    read_task_meta(artifact + ".meta", &out);
+    SweepOutcome meta;
+    if (read_task_meta(artifact + ".meta", &meta)) {
+      out.worlds_executed += meta.worlds_executed;
+      out.baseline_requests += meta.baseline_requests;
+      out.baseline_computed += meta.baseline_computed;
+      out.retries += meta.retries;
+      out.jobs_used = std::max(out.jobs_used, meta.jobs_used);
+    } else if (status.ok) {
+      Log::warn("sweep task sidecar %s.meta is missing or malformed; its "
+                "counters are left out of the summary",
+                artifact.c_str());
+    }
     if (opts.trace_tasks) {
       // A dead worker may have spilled nothing; harvest what exists and
       // let the merge skip unreadable shards.

@@ -1,8 +1,9 @@
 // Campaign coordinator: the sweep service's control plane.
 //
 // run_campaign() drives a set of sweep points to completion through a
-// pluggable Launcher (launcher.h), upgrading the static fork topology of
-// run_sharded_processes into a fault-tolerant service:
+// pluggable Launcher (launcher.h).  It is the one multi-process sweep
+// path — `unimem_sweep --shards N` is a campaign on the fork launcher
+// with N workers — and a fault-tolerant service:
 //
 //   * CHUNKED DISPATCH — points are dealt to worker slots with
 //     shard_slice (whole baseline groups stay together), then each slice
@@ -19,7 +20,8 @@
 //     max_task_retries times; rows the dead task already streamed are
 //     kept (its artifact is read with the crash-tolerant reader).
 //   * RESUME — rows from a previous campaign's artifact are accepted
-//     up front and their points never re-run (crash-restart).
+//     up front (split_resume) and their points never re-run
+//     (crash-restart).
 //
 // The coordinator itself NEVER spawns a thread: it is a single-threaded
 // event loop around Launcher::wait_any().  That is a hard constraint, not
@@ -67,7 +69,7 @@ struct CoordinatorOptions {
   /// Points per task; 0 = auto (slice/4 per worker, so every worker has
   /// a few chunks to steal or finish early).  Ignored when steal is off
   /// and chunking would only add dispatch overhead: each worker then gets
-  /// its whole slice as one task, matching run_sharded_processes.
+  /// its whole slice as one task.
   std::size_t chunk_points = 0;
   /// Re-dispatch budget for tasks whose worker died; when exhausted the
   /// task's unfinished points are finalized as failed rows naming the
@@ -79,11 +81,9 @@ struct CoordinatorOptions {
   EngineOptions engine;
   /// Directory for per-task JSONL artifacts + meta sidecars; must exist.
   std::string scratch_dir;
-  /// Rows from a previous campaign's JSONL (read_jsonl_tolerant): ok rows
-  /// whose index matches a point are finalized immediately and not
-  /// re-run.  Failed resume rows ARE re-run (a resume is a second
-  /// chance).  A label mismatch against the point list throws — that is
-  /// an artifact from a different spec, not a resumable campaign.
+  /// Rows from a previous campaign's JSONL (read_jsonl_tolerant), applied
+  /// by split_resume: accepted rows are finalized immediately and their
+  /// points not re-run.
   std::vector<SweepRow> resume_rows;
   /// Campaign-level row sink: called once per point — resumed points
   /// first (in point order), then fresh points in completion order.
@@ -107,8 +107,8 @@ struct CampaignOutcome {
   std::size_t task_retries = 0;
   double wall_s = 0;
   int workers = 0;
-  /// Aggregated from task meta sidecars (tasks launched without a
-  /// sidecar-writing body contribute zero).
+  /// Aggregated from task sidecars (read_task_meta; a task that left no
+  /// readable sidecar contributes zero).
   std::size_t worlds_executed = 0;
   std::size_t baseline_requests = 0;
   std::size_t baseline_computed = 0;
@@ -122,6 +122,25 @@ struct CampaignOutcome {
   /// the scratch directory is removed.
   std::vector<std::string> trace_shards;
 };
+
+/// The resume rule, shared by run_campaign and the single-process CLI
+/// path.  Splits `points` against `prior`, the rows of a previous run's
+/// artifact:
+///   * a prior row whose index is not among `points` is ignored (the
+///     artifact covered a wider filter);
+///   * a prior row whose label disagrees with its point throws — that is
+///     an artifact from a different spec, not a resumable campaign;
+///   * only ok rows satisfy a point (a failed point gets a second chance),
+///     and the first ok row for an index wins.
+/// `done` holds the accepted rows and `todo` the points still to run,
+/// both in the order of `points`.
+struct ResumeSplit {
+  std::vector<SweepRow> done;
+  std::vector<SweepPoint> todo;
+};
+
+ResumeSplit split_resume(const std::vector<SweepPoint>& points,
+                         const std::vector<SweepRow>& prior);
 
 CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
                              const CoordinatorOptions& opts);

@@ -4,6 +4,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -41,14 +43,75 @@ SweepOutcome run_task_to_artifact(const LaunchTask& task,
                 task.trace.c_str());
   }
 
-  const std::string meta = task.artifact + ".meta";
-  std::FILE* f = std::fopen(meta.c_str(), "w");
-  if (f == nullptr) throw std::runtime_error("cannot open " + meta);
-  std::fprintf(f, "%zu %zu %zu %zu %d %zu\n", out.worlds_executed,
-               out.baseline_requests, out.baseline_computed, out.failed,
-               out.jobs_used, out.retries);
-  std::fclose(f);
+  write_task_meta(task.artifact + ".meta", out);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Task sidecar
+
+namespace {
+
+constexpr int kMetaFields = 6;
+// The longest valid sidecar: six 20-digit fields, five spaces, a newline.
+constexpr std::size_t kMetaMaxBytes = kMetaFields * 21;
+
+}  // namespace
+
+void write_task_meta(const std::string& path, const SweepOutcome& out) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) throw std::runtime_error("cannot open " + path);
+  const bool wrote =
+      std::fprintf(f, "%zu %zu %zu %zu %d %zu\n", out.worlds_executed,
+                   out.baseline_requests, out.baseline_computed, out.failed,
+                   out.jobs_used, out.retries) > 0;
+  if (std::fclose(f) != 0 || !wrote)
+    throw std::runtime_error("cannot write " + path);
+}
+
+bool read_task_meta(const std::string& path, SweepOutcome* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  char buf[kMetaMaxBytes + 1];
+  const std::size_t n = std::fread(buf, 1, sizeof buf, f);
+  std::fclose(f);
+  if (n > kMetaMaxBytes) return false;
+
+  std::size_t v[kMetaFields];
+  const char* p = buf;
+  const char* const end = buf + n;
+  for (int i = 0; i < kMetaFields; ++i) {
+    const char sep = i + 1 < kMetaFields ? ' ' : '\n';
+    // from_chars takes no sign and no leading whitespace for an unsigned
+    // type and reports overflow; a leading zero is canonical only for 0.
+    const auto [next, ec] = std::from_chars(p, end, v[i]);
+    if (ec != std::errc() || (*p == '0' && next != p + 1) || next == end ||
+        *next != sep)
+      return false;
+    p = next + 1;
+  }
+  if (p != end || v[4] > static_cast<std::size_t>(INT_MAX)) return false;
+
+  out->worlds_executed = v[0];
+  out->baseline_requests = v[1];
+  out->baseline_computed = v[2];
+  out->failed = v[3];
+  out->jobs_used = static_cast<int>(v[4]);
+  out->retries = v[5];
+  return true;
+}
+
+std::string describe_wait_status(int status) {
+  if (WIFEXITED(status)) return "exited " + std::to_string(WEXITSTATUS(status));
+  if (WIFSIGNALED(status)) {
+    const int sig = WTERMSIG(status);
+    const char* name = strsignal(sig);
+    return "killed by signal " + std::to_string(sig) +
+           (name != nullptr ? std::string(" (") + name + ")" : std::string());
+  }
+  if (WIFSTOPPED(status))
+    return "stopped by signal " + std::to_string(WSTOPSIG(status));
+  return "unknown wait status " + std::to_string(status);
 }
 
 // ---------------------------------------------------------------------------

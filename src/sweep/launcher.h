@@ -12,8 +12,10 @@
 //
 // Three topologies:
 //   * InProcessLauncher — one std::thread per task, shared BaselineService.
-//   * ForkLauncher      — fork(); the child runs the task body and _exit()s.
-//                         Same isolation model as run_sharded_processes.
+//   * ForkLauncher      — fork(); the child runs the task body with its
+//                         own BaselineService and _exit()s.
+//                         `unimem_sweep --shards N` is this launcher with
+//                         N workers.
 //   * CommandLauncher   — fork()+exec of an argv the caller builds per
 //                         task (ssh-style: any prefix like {"ssh","host"}
 //                         in front of a sweep CLI invocation).  The child
@@ -74,14 +76,31 @@ struct LaunchStatus {
 };
 
 /// Task body shared by every launcher: run task.points through a
-/// SweepEngine streaming to task.artifact, then write
-/// "<artifact>.meta" (same sidecar format as run_sharded_processes) so
-/// the coordinator can aggregate world/baseline counters.  The task's
+/// SweepEngine streaming to task.artifact, then write the
+/// "<artifact>.meta" sidecar (write_task_meta) so the coordinator can
+/// aggregate world/baseline/retry counters.  The task's
 /// on_result is replaced by the artifact stream — the coordinator replays
 /// rows to the campaign-level callback itself.  `baselines` may be shared
 /// across tasks (in-process launcher); nullptr = task-owned service.
 SweepOutcome run_task_to_artifact(const LaunchTask& task,
                                   BaselineService* baselines = nullptr);
+
+/// The task sidecar ("<artifact>.meta"): the engine counters a task hands
+/// its coordinator across the process boundary, as one line of six
+/// unsigned decimals separated by single spaces — worlds_executed
+/// baseline_requests baseline_computed failed jobs_used retries.  Throws
+/// when the file cannot be written.
+void write_task_meta(const std::string& path, const SweepOutcome& out);
+
+/// Strict inverse of write_task_meta: accepts exactly the bytes it writes
+/// (no sign, leading zero, overflow, missing field or trailing byte) and
+/// copies the six counters into `out`.  Returns false, leaving `out`
+/// untouched, when the sidecar is missing, torn or corrupt.
+bool read_task_meta(const std::string& path, SweepOutcome* out);
+
+/// Human-readable waitpid status: "exited 3", "killed by signal 9 (Killed)",
+/// "stopped"...  Every "worker died" diagnostic names the actual cause.
+std::string describe_wait_status(int status);
 
 class Launcher {
  public:
@@ -133,9 +152,9 @@ class ProcessLauncher : public Launcher {
   std::map<pid_t, int> slot_of_;  // outstanding children
 };
 
-/// fork(): the child runs run_task_to_artifact and _exit()s — the same
-/// code path and exit-code contract as run_sharded_processes children
-/// (0 = ran to completion, 3 = infrastructure failure).
+/// fork(): the child runs run_task_to_artifact and _exit()s with 0 when
+/// the task body ran to completion (row failures are data in its
+/// artifact) and 3 on an infrastructure failure.
 class ForkLauncher : public ProcessLauncher {
  public:
   const char* name() const override { return "fork"; }

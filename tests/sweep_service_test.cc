@@ -1,9 +1,8 @@
 // Sweep service tests: deterministic retry backoff, engine-level point
 // retries (rows byte-identical to first-try successes), the campaign
 // coordinator (work stealing, dead-worker reassignment, resume), the
-// launcher topologies (in-process, fork, command), the crash-tolerant
-// JSONL reader, CSV label sanitization, and the sharded-process summary
-// fields this PR's satellites fix.
+// launcher topologies (in-process, fork, command), the task sidecar
+// codec, the crash-tolerant JSONL reader, and CSV label sanitization.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -12,15 +11,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "sweep/coordinator.h"
 #include "sweep/engine.h"
 #include "sweep/launcher.h"
@@ -53,9 +57,20 @@ exp::RunResult synth_result(std::size_t index) {
 }
 
 /// Fresh per-test scratch directory (stale task artifacts/sidecars from a
-/// previous ctest run would pollute counter aggregation).
+/// previous ctest run would pollute counter aggregation).  Private to this
+/// process and removed at exit: ctest runs every case on its own and the
+/// whole binary (the sweep-service label) at the same time, and two
+/// processes sharing a directory would read each other's artifacts.
 std::string fresh_scratch(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/svc_" + name;
+  static const struct Root {
+    std::string dir =
+        ::testing::TempDir() + "/svc_" + std::to_string(getpid());
+    ~Root() {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  } root;
+  const std::string dir = root.dir + "/" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
@@ -443,13 +458,18 @@ TEST(SweepResultStore, CsvSanitizesCommasAndNewlinesInLabelAndError) {
   EXPECT_NE(row.find("boom; with comma and newline"), std::string::npos) << row;
 }
 
-// ---- sharded-process summary fields (satellite) ---------------------------
+// ---- counters across the fork boundary --------------------------------------
 
-TEST(ShardedProcesses, ReportsShardsAndPerChildJobsAndAggregatesRetries) {
-  const std::string scratch = fresh_scratch("sharded");
+// Each forked task hands its engine counters back through the sidecar;
+// the coordinator must aggregate them, report the per-task engine width
+// (not the sum over workers), and return rows in point order.
+TEST(Coordinator, ForkedTasksAggregateSidecarCountersAndKeepPointOrder) {
+  const std::string scratch = fresh_scratch("forkmeta");
   const auto points = synth_points(6);
-  ShardedOptions opts;
-  opts.shards = 2;
+  ForkLauncher launcher;
+  CoordinatorOptions opts;
+  opts.launcher = &launcher;
+  opts.workers = 2;
   opts.scratch_dir = scratch;
   opts.engine.jobs = 1;
   opts.engine.max_point_retries = 1;
@@ -460,14 +480,152 @@ TEST(ShardedProcesses, ReportsShardsAndPerChildJobsAndAggregatesRetries) {
     return synth_result(p.index);
   };
 
-  const SweepOutcome out = run_sharded_processes(points, opts);
-  EXPECT_EQ(out.shards, 2) << "process fan-out reported separately";
-  EXPECT_EQ(out.jobs_used, 1) << "per-child width, not the sum over shards";
+  const CampaignOutcome out = run_campaign(points, opts);
+  EXPECT_EQ(out.tasks, 2u) << "one whole-slice task per worker";
+  EXPECT_EQ(out.task_retries, 0u);
+  EXPECT_EQ(out.jobs_used, 1) << "per-task width, not the sum over workers";
   EXPECT_EQ(out.retries, 1u) << "child retry counters aggregate via sidecars";
+  EXPECT_EQ(out.worlds_executed, points.size());
   EXPECT_EQ(out.failed, 0u);
   ASSERT_EQ(out.rows.size(), points.size());
   for (std::size_t i = 0; i < out.rows.size(); ++i)
     EXPECT_EQ(out.rows[i].index, i) << "merged rows are point-ordered";
+}
+
+// ---- task sidecar codec -----------------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(TaskMeta, RoundTripsEveryCounterIncludingExtremes) {
+  const std::string dir = fresh_scratch("meta_roundtrip");
+  SweepOutcome in;
+  in.worlds_executed = SIZE_MAX;
+  in.baseline_requests = 0;
+  in.baseline_computed = 7;
+  in.failed = 1;
+  in.jobs_used = INT_MAX;
+  in.retries = 12;
+  const std::string path = dir + "/t.meta";
+  write_task_meta(path, in);
+  SweepOutcome got;
+  ASSERT_TRUE(read_task_meta(path, &got));
+  EXPECT_EQ(got.worlds_executed, in.worlds_executed);
+  EXPECT_EQ(got.baseline_requests, in.baseline_requests);
+  EXPECT_EQ(got.baseline_computed, in.baseline_computed);
+  EXPECT_EQ(got.failed, in.failed);
+  EXPECT_EQ(got.jobs_used, in.jobs_used);
+  EXPECT_EQ(got.retries, in.retries);
+  EXPECT_FALSE(read_task_meta(dir + "/missing.meta", &got));
+}
+
+TEST(TaskMeta, RejectsSignsTrailingBytesAndMalformedFields) {
+  const std::string dir = fresh_scratch("meta_reject");
+  const std::string path = dir + "/bad.meta";
+  const char* const bad[] = {
+      "",
+      "\n",
+      "-1 7 1 0 1 0\n",              // fscanf("%zu") reads this as 2^64-1
+      "+1 7 1 0 1 0\n",
+      "5 7 1 0 -1 0\n",              // negative jobs
+      "5 7x 1 0 1 0\n",              // trailing junk inside a field
+      "5 7 1 0 1 0\nx",              // trailing junk after the line
+      "5 7 1 0 1 0\n\n",
+      "5 7 1 0 1 0",                 // torn: the newline never made it
+      "5 7 1 0 1\n",                 // five fields
+      "5 7 1 0 1 0 9\n",             // seven fields
+      " 5 7 1 0 1 0\n",
+      "5  7 1 0 1 0\n",
+      "5\t7 1 0 1 0\n",
+      "05 7 1 0 1 0\n",              // not the canonical encoding
+      "18446744073709551616 7 1 0 1 0\n",  // 2^64
+      "5 7 1 0 2147483648 0\n",      // jobs > INT_MAX
+      "5 7 1 0 1 0\r\n",
+  };
+  for (const char* text : bad) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    SweepOutcome got;
+    got.worlds_executed = 42;
+    EXPECT_FALSE(read_task_meta(path, &got)) << "accepted '" << text << "'";
+    EXPECT_EQ(got.worlds_executed, 42u) << "a rejected read leaves out alone";
+  }
+  {
+    // A huge file is rejected after reading one sidecar's worth of bytes.
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << std::string(1 << 20, '1') << "\n";
+  }
+  SweepOutcome got;
+  EXPECT_FALSE(read_task_meta(path, &got));
+}
+
+// Seeded mutation fuzz over a real sidecar: every mutant is either
+// rejected or read exactly — accepted bytes re-encode to themselves, so
+// no corrupt sidecar can smuggle a wrapped or truncated counter into the
+// campaign summary.
+TEST(TaskMeta, MutatedSidecarsAreRejectedOrReadExactly) {
+  const std::string dir = fresh_scratch("meta_fuzz");
+  const auto points = synth_points(5);
+  EngineOptions eopts;
+  eopts.jobs = 2;
+  eopts.max_point_retries = 1;
+  eopts.backoff.base_s = 0;
+  eopts.run_point = [](const SweepPoint& p, int attempt) {
+    if (attempt == 0 && p.index == 3)
+      throw std::runtime_error("injected transient fault");
+    return synth_result(p.index);
+  };
+  const std::string seed_path = dir + "/seed.meta";
+  write_task_meta(seed_path, SweepEngine(eopts).run(points));
+  const std::string seed = read_file(seed_path);
+  ASSERT_FALSE(seed.empty());
+
+  Rng rng(0x4d455441u);  // "META"
+  const std::string path = dir + "/mutant.meta";
+  const std::string echo = dir + "/echo.meta";
+  std::size_t accepted = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string m = seed;
+    const int edits = 1 + static_cast<int>(rng.below(3));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = m.empty() ? 0 : rng.below(m.size());
+      switch (rng.below(6)) {
+        case 0:  // bit flip
+          if (!m.empty()) m[at] ^= static_cast<char>(1u << rng.below(8));
+          break;
+        case 1:  // truncation
+          m.resize(at);
+          break;
+        case 2:  // replace a byte with a digit, sign, space or newline
+          if (!m.empty()) m[at] = "0123456789-+ \n"[rng.below(14)];
+          break;
+        case 3:  // insert a byte from the same alphabet
+          m.insert(at, 1, "0123456789-+ \nx"[rng.below(15)]);
+          break;
+        case 4:  // sign in front of a field
+          m.insert(at, "-");
+          break;
+        default:  // trailing junk
+          m += "x";
+          break;
+      }
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << m;
+    }
+    SweepOutcome got;
+    if (!read_task_meta(path, &got)) continue;
+    ++accepted;
+    write_task_meta(echo, got);
+    EXPECT_EQ(read_file(echo), m) << "accepted bytes must re-encode exactly";
+  }
+  EXPECT_GT(accepted, 0u) << "some digit substitutions stay valid sidecars";
 }
 
 // ---- wait-status naming ---------------------------------------------------

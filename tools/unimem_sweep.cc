@@ -5,7 +5,7 @@
 //   unimem_sweep --spec fig2 --filter cg --points
 //   unimem_sweep --spec fig11 --jobs 4 --csv out.csv --jsonl out.jsonl
 //                [--summary-json summary.json]
-//   unimem_sweep --spec fig12 --shards 4            # fork 4 shard children
+//   unimem_sweep --spec fig12 --shards 4            # fork 4 worker processes
 //   unimem_sweep --spec fig12 --shard 0/2 --jsonl s0.jsonl   # one slice
 //   unimem_sweep --merge s0.jsonl s1.jsonl --csv merged.csv  # stitch back
 //   unimem_sweep --spec fig12 --launcher fork --workers 4 --steal
@@ -19,20 +19,22 @@
 // --smoke) shrinks the spec to smoke scale, same as the bench harnesses.
 //
 // Sharding: `--shard i/N` runs the i-th deterministic slice of the
-// expansion (point indices stay those of the full expansion), `--merge`
-// stitches per-shard JSONL files back into the point-ordered CSV/JSONL,
-// and `--shards N` does both in one invocation by forking N child
-// processes.
+// expansion (point indices stay those of the full expansion) and
+// `--merge` stitches per-shard JSONL files back into the point-ordered
+// CSV/JSONL — the manual path for spreading a sweep over hosts.
+// `--shards N` does both in one invocation: it is exactly
+// `--launcher fork --workers N`.
 //
-// Service mode: `--launcher inproc|fork|cmd[:PREFIX]` hands the campaign
-// to the coordinator (src/sweep/coordinator.h): chunked dispatch across
-// `--workers` slots, optional `--steal` work stealing, `--retries N`
-// per-point retries with deterministic backoff, re-dispatch of tasks
-// whose worker died, `--resume` crash-restart from an existing --jsonl
-// artifact, and a live `--summary-json` rewritten (atomically) after
-// every task.  The cmd launcher re-invokes this binary (optionally
-// through a PREFIX such as "ssh host") with `--indices`, so any transport
-// that can run a command against a shared filesystem works.
+// Service mode: `--launcher inproc|fork|cmd[:PREFIX]` (or `--shards N`)
+// hands the campaign to the coordinator (src/sweep/coordinator.h):
+// chunked dispatch across `--workers` slots, optional `--steal` work
+// stealing, `--retries N` per-point retries with deterministic backoff,
+// re-dispatch of tasks whose worker died, `--resume` crash-restart from
+// an existing --jsonl artifact, and a live `--summary-json` rewritten
+// (atomically) after every task.  The cmd launcher re-invokes this
+// binary (optionally through a PREFIX such as "ssh host") with
+// `--indices`, so any transport that can run a command against a shared
+// filesystem works.
 //
 // Every topology produces byte-identical CSV/JSONL to a single-process
 // `--jobs 1` run (asserted by the sweep_shard_golden ctest).
@@ -47,9 +49,9 @@
 #include <ctime>
 #include <exception>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,7 +73,7 @@ namespace {
 /// Version of the --summary-json document layout (see README "Summary
 /// JSON schema").  Bump when fields change meaning or go away; adding
 /// fields is compatible and does not bump.
-constexpr int kSummarySchemaVersion = 2;
+constexpr int kSummarySchemaVersion = 3;
 
 std::string iso8601_utc_now() {
   const std::time_t now = std::time(nullptr);
@@ -117,7 +119,8 @@ void usage(std::FILE* out) {
       "  --summary-json PATH  write a machine-readable batch summary\n"
       "                       (service mode rewrites it live per task)\n"
       "  --shard I/N          run only the I-th of N deterministic shard slices\n"
-      "  --shards N           fork N shard child processes and merge their rows\n"
+      "  --shards N           fork N worker processes and merge their rows;\n"
+      "                       an alias for --launcher fork --workers N\n"
       "  --merge FILE...      stitch per-shard JSONL files into --csv/--jsonl\n"
       "                       (with --spec: verify the merge covers the spec)\n"
       "  --profiler exact|N   override the spec's profiling tier: exact, or\n"
@@ -209,7 +212,6 @@ struct Args {
   int jobs = 0;
   int ranks = 0;
   int shard = -1, nshards = 0;  ///< --shard I/N
-  int fork_shards = 0;          ///< --shards N
   int retries = 0;
   int workers = 0;  ///< 0 = default (2) in service mode
   int attempt_base = 0;
@@ -222,6 +224,7 @@ struct Args {
 };
 
 bool parse(int argc, char** argv, Args& a) {
+  int shards = 0;  // --shards N, resolved into launcher/workers below
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> const char* {
@@ -452,7 +455,7 @@ bool parse(int argc, char** argv, Args& a) {
                      v);
         return false;
       }
-      a.fork_shards = static_cast<int>(n);
+      shards = static_cast<int>(n);
     } else if (arg == "--merge") {
       a.merge = true;
     } else if (a.merge && !arg.empty() && arg[0] != '-') {
@@ -466,20 +469,30 @@ bool parse(int argc, char** argv, Args& a) {
     std::fprintf(stderr, "unimem_sweep: --merge needs shard JSONL files\n");
     return false;
   }
-  if (a.merge && (a.shard >= 0 || a.fork_shards > 0)) {
+  if (a.merge && (a.shard >= 0 || shards > 0)) {
     std::fprintf(stderr, "unimem_sweep: --merge excludes --shard/--shards\n");
     return false;
   }
-  if (a.shard >= 0 && a.fork_shards > 0) {
+  if (a.shard >= 0 && shards > 0) {
     std::fprintf(stderr, "unimem_sweep: pick one of --shard or --shards\n");
     return false;
+  }
+  if (shards > 0) {
+    if (!a.launcher.empty() || a.workers > 0) {
+      std::fprintf(stderr,
+                   "unimem_sweep: --shards N means --launcher fork --workers "
+                   "N; pass either --shards or --launcher/--workers\n");
+      return false;
+    }
+    a.launcher = "fork";
+    a.workers = shards;
   }
   // --steal/--workers only mean something under a coordinator; default
   // them into the cheapest launcher rather than silently ignoring them.
   if (a.launcher.empty() && (a.steal || a.workers > 0)) a.launcher = "inproc";
-  if (!a.launcher.empty() && (a.shard >= 0 || a.fork_shards > 0)) {
+  if (!a.launcher.empty() && a.shard >= 0) {
     std::fprintf(stderr,
-                 "unimem_sweep: --launcher excludes --shard/--shards (the "
+                 "unimem_sweep: --launcher excludes --shard (the "
                  "coordinator owns the topology)\n");
     return false;
   }
@@ -677,14 +690,9 @@ int run_cli(int argc, char** argv) {
           a.jsonl.c_str());
   }
 
-  if (!a.trace.empty()) {
-    if (a.fork_shards > 0)
-      Log::warn(
-          "--trace with --shards records only the parent process; use "
-          "--launcher fork to capture per-task trace shards");
+  if (!a.trace.empty())
     trace::TraceRecorder::instance().start(
         static_cast<std::size_t>(a.trace_buf));
-  }
 
   sweep::SweepResultStore store;
   if (!a.jsonl.empty()) store.stream_jsonl(a.jsonl);
@@ -832,26 +840,34 @@ int run_cli(int argc, char** argv) {
     copts.trace_buf = static_cast<std::size_t>(a.trace_buf);
     copts.resume_rows = std::move(resume_rows);
     copts.on_final_row = [&](const sweep::SweepRow& row) { store.add(row); };
-    // Live summary: rewrite-and-rename after every task, so a watcher
-    // always reads a complete JSON document mid-campaign.
-    copts.on_progress = [&](const sweep::CampaignProgress& p) {
-      if (a.summary_json.empty()) return;
+    // Service summary: the campaign counters, then whatever `more`
+    // prints.  Written to a temp file and renamed, so a watcher always
+    // reads a complete JSON document, mid-campaign too.
+    auto write_summary = [&](const sweep::CampaignProgress& p,
+                             const std::function<void(std::FILE*)>& more) {
       const std::string tmp = a.summary_json + ".tmp";
       std::FILE* f = std::fopen(tmp.c_str(), "w");
-      if (f == nullptr) return;
+      if (f == nullptr) return false;
       std::fprintf(
           f,
           "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
           "\"done\":%zu,\"failed\":%zu,"
           "\"resumed\":%zu,\"retries\":%zu,\"steals\":%zu,\"tasks\":%zu,"
           "\"task_retries\":%zu,\"workers\":%d,\"launcher\":\"%s\","
-          "\"steal\":%s,\"complete\":%s,\"host_cpus\":%u}\n",
+          "\"steal\":%s,\"complete\":%s,\"host_cpus\":%u",
           kSummarySchemaVersion, a.spec.c_str(), p.total, p.done, p.failed,
           p.resumed, p.retries, p.steals, p.tasks, p.task_retries, workers,
           launcher->name(), a.steal ? "true" : "false",
           p.complete ? "true" : "false", std::thread::hardware_concurrency());
-      std::fclose(f);
-      std::rename(tmp.c_str(), a.summary_json.c_str());
+      more(f);
+      std::fputs("}\n", f);
+      return std::fclose(f) == 0 &&
+             std::rename(tmp.c_str(), a.summary_json.c_str()) == 0;
+    };
+    sweep::CampaignProgress last;  // run_campaign ends with complete=true
+    copts.on_progress = [&](const sweep::CampaignProgress& p) {
+      last = p;
+      if (!a.summary_json.empty()) write_summary(p, [](std::FILE*) {});
     };
 
     sweep::CampaignOutcome outcome;
@@ -898,117 +914,46 @@ int run_cli(int argc, char** argv) {
         outcome.task_retries, outcome.workers, outcome.wall_s,
         outcome.worlds_executed);
 
-    if (!a.summary_json.empty()) {
-      // Final summary: the live fields plus the engine aggregates that
-      // only exist once every task sidecar is in.
-      std::FILE* f = std::fopen(a.summary_json.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "unimem_sweep: cannot open %s\n",
-                     a.summary_json.c_str());
-        return 1;
-      }
-      std::fprintf(
-          f,
-          "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
-          "\"done\":%zu,\"failed\":%zu,"
-          "\"resumed\":%zu,\"retries\":%zu,\"steals\":%zu,\"tasks\":%zu,"
-          "\"task_retries\":%zu,\"workers\":%d,\"launcher\":\"%s\","
-          "\"steal\":%s,\"complete\":true,\"jobs\":%d,\"wall_s\":%.6f,"
-          "\"worlds_executed\":%zu,\"baseline_requests\":%zu,"
-          "\"baseline_computed\":%zu,\"host_cpus\":%u%s}\n",
-          kSummarySchemaVersion, a.spec.c_str(), outcome.rows.size(),
-          outcome.rows.size(), outcome.failed, outcome.resumed,
-          outcome.retries, outcome.steals, outcome.tasks,
-          outcome.task_retries, outcome.workers, launcher->name(),
-          a.steal ? "true" : "false", outcome.jobs_used, outcome.wall_s,
-          outcome.worlds_executed, outcome.baseline_requests,
-          outcome.baseline_computed, std::thread::hardware_concurrency(),
-          summary_tail().c_str());
-      std::fclose(f);
+    // Final summary: the live fields plus the engine aggregates that only
+    // exist once every task sidecar is in.
+    if (!a.summary_json.empty() &&
+        !write_summary(last, [&](std::FILE* f) {
+          std::fprintf(f,
+                       ",\"jobs\":%d,\"wall_s\":%.6f,\"worlds_executed\":%zu,"
+                       "\"baseline_requests\":%zu,\"baseline_computed\":%zu%s",
+                       outcome.jobs_used, outcome.wall_s,
+                       outcome.worlds_executed, outcome.baseline_requests,
+                       outcome.baseline_computed, summary_tail().c_str());
+        })) {
+      std::fprintf(stderr, "unimem_sweep: cannot write %s\n",
+                   a.summary_json.c_str());
+      return 1;
     }
     return outcome.failed == 0 ? 0 : 2;
   }
 
-  // ---- engine mode (single process or forked shards) --------------------
+  // ---- engine mode: one process ------------------------------------------
+  const std::size_t total_points = points.size();
   std::size_t resumed = 0;
-  if (a.resume && !resume_rows.empty()) {
-    std::set<std::size_t> have;
-    std::map<std::size_t, const sweep::SweepPoint*> by_index;
-    for (const auto& p : points) by_index[p.index] = &p;
-    std::vector<sweep::SweepRow> keep;
-    for (const sweep::SweepRow& row : resume_rows) {
-      const auto it = by_index.find(row.index);
-      if (it == by_index.end()) continue;
-      if (row.label != it->second->label)
-        throw std::runtime_error(
-            "resume row " + std::to_string(row.index) + " has label '" +
-            row.label + "' but the spec expands to '" + it->second->label +
-            "' — stale artifact from another spec?");
-      if (!row.ok || have.count(row.index) != 0) continue;
-      have.insert(row.index);
-      keep.push_back(row);
-    }
-    std::sort(keep.begin(), keep.end(),
-              [](const sweep::SweepRow& x, const sweep::SweepRow& y) {
-                return x.index < y.index;
-              });
-    for (const sweep::SweepRow& row : keep) store.add(row);
-    resumed = keep.size();
-    std::vector<sweep::SweepPoint> todo;
-    for (const auto& p : points)
-      if (have.count(p.index) == 0) todo.push_back(p);
-    points = std::move(todo);
+  if (a.resume) {
+    sweep::ResumeSplit split = sweep::split_resume(points, resume_rows);
+    for (const sweep::SweepRow& row : split.done) store.add(row);
+    resumed = split.done.size();
+    points = std::move(split.todo);
   }
-  const std::size_t total_points = points.size() + resumed;
 
   sweep::SweepOutcome outcome;
-  if (a.fork_shards > 0 && !points.empty()) {
-    // Multi-process topology: fork before any threads exist.  The parent
-    // replays merged rows through on_result in point order, so --jsonl
-    // streams the same bytes a --jobs 1 run would.
-    namespace fs = std::filesystem;
-    std::string tmpl =
-        (fs::temp_directory_path() / "unimem_sweep.XXXXXX").string();
-    if (mkdtemp(tmpl.data()) == nullptr) {
-      std::fprintf(stderr, "unimem_sweep: cannot create scratch dir\n");
-      return 1;
-    }
-    sweep::ShardedOptions sopts;
-    sopts.shards = a.fork_shards;
-    sopts.engine = eopts;
-    sopts.scratch_dir = tmpl;
-    try {
-      outcome = sweep::run_sharded_processes(points, sopts);
-    } catch (...) {
-      fs::remove_all(tmpl);
-      throw;
-    }
-    fs::remove_all(tmpl);
-  } else if (!points.empty()) {
-    sweep::SweepEngine engine(eopts);
-    outcome = engine.run(points);
-  }
+  if (!points.empty()) outcome = sweep::SweepEngine(eopts).run(points);
   store.finish();
 
   if (!a.trace.empty() &&
       !export_trace(trace::TraceRecorder::instance().stop(), a.trace))
     Log::warn("cannot write trace %s", a.trace.c_str());
 
-  if (!a.task_meta.empty()) {
-    // Engine counter sidecar (same format as shard/task metas), so a
-    // coordinator that launched this invocation via the cmd launcher can
-    // aggregate world/baseline/retry counters across the fleet.
-    std::FILE* f = std::fopen(a.task_meta.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "unimem_sweep: cannot open %s\n",
-                   a.task_meta.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%zu %zu %zu %zu %d %zu\n", outcome.worlds_executed,
-                 outcome.baseline_requests, outcome.baseline_computed,
-                 outcome.failed, outcome.jobs_used, outcome.retries);
-    std::fclose(f);
-  }
+  // Engine counter sidecar, so a coordinator that launched this
+  // invocation via the cmd launcher can aggregate world/baseline/retry
+  // counters across the fleet.
+  if (!a.task_meta.empty()) sweep::write_task_meta(a.task_meta, outcome);
 
   if (!a.quiet) {
     store.report(spec->title + " [" + a.spec + ", " +
@@ -1033,12 +978,11 @@ int run_cli(int argc, char** argv) {
     std::fprintf(
         f,
         "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
-        "\"failed\":%zu,\"jobs\":%d,"
-        "\"shards\":%d,\"retries\":%zu,\"resumed\":%zu,"
+        "\"failed\":%zu,\"jobs\":%d,\"retries\":%zu,\"resumed\":%zu,"
         "\"wall_s\":%.6f,\"worlds_executed\":%zu,\"baseline_requests\":%zu,"
         "\"baseline_computed\":%zu,\"host_cpus\":%u%s}\n",
         kSummarySchemaVersion, a.spec.c_str(), total_points, outcome.failed,
-        outcome.jobs_used, outcome.shards, outcome.retries, resumed,
+        outcome.jobs_used, outcome.retries, resumed,
         outcome.wall_s, outcome.worlds_executed, outcome.baseline_requests,
         outcome.baseline_computed, std::thread::hardware_concurrency(),
         summary_tail().c_str());
