@@ -61,16 +61,6 @@ void BM_KnapsackDP(benchmark::State& state) {
 }
 BENCHMARK(BM_KnapsackDP)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_KnapsackGreedy(benchmark::State& state) {
-  auto items = make_items(static_cast<std::size_t>(state.range(0)), 42);
-  rt::KnapsackSolver solver(64 * 1024);
-  for (auto _ : state) {
-    auto r = solver.solve_greedy(items, 8 << 20);
-    benchmark::DoNotOptimize(r.total_weight);
-  }
-}
-BENCHMARK(BM_KnapsackGreedy)->Arg(8)->Arg(32)->Arg(128);
-
 // ---------------------------------------------------------------------------
 // Production-size sweeps (BENCH_components.json anchors).
 
@@ -243,13 +233,14 @@ BENCHMARK(BM_ExactCachePointerChaseProduction)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Profiling tiers (BENCH_components.json `profiler_sampled_speedup`): the
-// cost of consuming one PMU miss event.  Exact mode attributes every
-// address inline on the rank thread through the registry's locked interval
-// map; sampled mode pays one countdown-gate check per event, buffers the
-// few captured addresses, and ships them to the ProfileAggregator, which
-// attributes out of band against an immutable snapshot.  Registry shape is
-// production-like: hundreds of chunk-scale objects, so inline attribution
-// walks a deep map with a cache-hostile random stream.
+// cost of consuming one PMU miss event.  Exact mode runs attribute_phase
+// inline on the rank thread over every address, against the address map
+// taken at phase close; sampled mode pays one countdown-gate check per
+// event, buffers the few captured addresses, and ships them to the
+// ProfileAggregator, which runs the same attribute_phase out of band.
+// Registry shape is production-like: a thousand chunk-scale objects, so
+// each inline lookup binary-searches a thousand-span vector with a
+// cache-hostile random stream.
 
 constexpr std::size_t kProfObjects = 1024;
 constexpr std::size_t kProfEvents = 1 << 18;
@@ -280,10 +271,10 @@ void BM_ProfilerExactAccessProduction(benchmark::State& state) {
   s.total_samples = addrs.size();
   s.total_miss_count = addrs.size();
   s.miss_addresses = addrs;
-  rt::Profiler prof(&reg);
+  rt::Profiler prof;
   for (auto _ : state) {
     prof.begin_iteration();
-    prof.record_phase(s, 1.0);
+    prof.record_phase(s, *reg.addr_snapshot(), 1.0);
     benchmark::DoNotOptimize(prof.phase_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -320,27 +320,4 @@ MckpResult KnapsackSolver::solve_mckp(
   return finish();
 }
 
-KnapsackResult KnapsackSolver::solve_greedy(
-    const std::vector<KnapsackItem>& items, std::size_t capacity_bytes) const {
-  KnapsackResult out;
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    double da = items[a].weight / static_cast<double>(std::max<std::size_t>(items[a].bytes, 1));
-    double db = items[b].weight / static_cast<double>(std::max<std::size_t>(items[b].bytes, 1));
-    return da > db;
-  });
-  std::size_t used = 0;
-  for (std::size_t i : order) {
-    if (items[i].weight <= 0) continue;
-    if (used + items[i].bytes > capacity_bytes) continue;
-    used += items[i].bytes;
-    out.selected.push_back(i);
-    out.total_weight += items[i].weight;
-    out.total_bytes += items[i].bytes;
-  }
-  std::sort(out.selected.begin(), out.selected.end());
-  return out;
-}
-
 }  // namespace unimem::rt

@@ -4,8 +4,8 @@
 // is to maximize total weights of data objects in DRAM while satisfying the
 // DRAM size constraint.  This is a 0-1 knapsack problem", solved by dynamic
 // programming.  Sizes are quantized to a granule so the DP table stays
-// small; a greedy-by-density fallback handles degenerate capacities and
-// is the DP's comparison baseline in bench/micro_components.cc.
+// small; past a dense-cell budget a bounded 1/2-approximation (density
+// greedy refined with the best single item) keeps planning online.
 //
 // On an N-tier machine the placement problem generalizes to a
 // multiple-choice knapsack (MCKP): each unit picks *a* tier — not in/out of
@@ -62,11 +62,6 @@ class KnapsackSolver {
   /// online at any scale.
   KnapsackResult solve(const std::vector<KnapsackItem>& items,
                        std::size_t capacity_bytes) const;
-
-  /// Greedy by weight density (weight/bytes); not optimal, the DP's
-  /// comparison baseline in bench/micro_components.cc.
-  KnapsackResult solve_greedy(const std::vector<KnapsackItem>& items,
-                              std::size_t capacity_bytes) const;
 
   /// Bounded 1/2-approximation without the dense DP, at any instance
   /// size: quantized density greedy refined with the best single item

@@ -1,48 +1,48 @@
 #include "core/profiler.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/log.h"
 
 namespace unimem::rt {
 
-std::map<UnitRef, UnitPhaseProfile> apportion_profile(
-    const std::map<UnitRef, std::uint64_t>& counts, std::uint64_t attributed,
-    std::uint64_t total_samples, std::uint64_t total_miss_count,
-    double phase_time_s) {
-  std::map<UnitRef, UnitPhaseProfile> out;
-  if (attributed == 0 || total_samples == 0) return out;
-  for (const auto& [unit, n] : counts) {
+PhaseAttribution attribute_phase(const perf::PhaseSamples& samples,
+                                 const Registry::AddrSnapshot& spans,
+                                 double phase_time_s) {
+  PhaseAttribution out;
+  // Each unit owns exactly one span, so hits are counted per span index.
+  std::vector<std::uint64_t> hits(spans.size(), 0);
+  for (std::uint64_t addr : samples.miss_addresses) {
+    auto it = std::upper_bound(
+        spans.begin(), spans.end(), addr,
+        [](std::uint64_t a, const Registry::AddrSpan& s) { return a < s.lo; });
+    if (it == spans.begin() || addr >= std::prev(it)->hi) continue;
+    ++hits[static_cast<std::size_t>(it - spans.begin()) - 1];
+    ++out.attributed;
+  }
+  if (out.attributed == 0 || samples.total_samples == 0) return out;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (hits[i] == 0) continue;
     UnitPhaseProfile p;
     // Apportion the precise aggregate miss counter by sample share.
     p.est_accesses = static_cast<std::uint64_t>(
-        static_cast<double>(total_miss_count) * static_cast<double>(n) /
-        static_cast<double>(attributed));
-    p.time_fraction =
-        static_cast<double>(n) / static_cast<double>(total_samples);
+        static_cast<double>(samples.total_miss_count) *
+        static_cast<double>(hits[i]) / static_cast<double>(out.attributed));
+    p.time_fraction = static_cast<double>(hits[i]) /
+                      static_cast<double>(samples.total_samples);
     p.phase_time_s = phase_time_s;
-    if (p.est_accesses > 0) out.emplace(unit, p);
+    if (p.est_accesses > 0) out.units.emplace(spans[i].unit, p);
   }
   return out;
 }
 
 void Profiler::record_phase(const perf::PhaseSamples& samples,
+                            const Registry::AddrSnapshot& spans,
                             double phase_time_s) {
   PhaseObservation obs;
   obs.phase_time_s = phase_time_s;
-
-  // Attribute each sampled miss address to a unit.
-  std::map<UnitRef, std::uint64_t> counts;
-  std::uint64_t attributed = 0;
-  for (std::uint64_t addr : samples.miss_addresses) {
-    if (auto unit = registry_->attribute(addr)) {
-      ++counts[*unit];
-      ++attributed;
-    }
-  }
-
-  obs.units = apportion_profile(counts, attributed, samples.total_samples,
-                                samples.total_miss_count, phase_time_s);
+  obs.units = attribute_phase(samples, spans, phase_time_s).units;
   phases_.push_back(std::move(obs));
 }
 

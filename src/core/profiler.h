@@ -1,8 +1,8 @@
 // Phase profiler (paper §3.1.1, "Step 1").
 //
 // Consumes the PMU sample stream of each profiled phase, maps sampled miss
-// addresses back to object units through the registry's interval map, and
-// estimates per-(unit, phase):
+// addresses back to object units through the registry's address map (the
+// span vector of Registry::addr_snapshot), and estimates per-(unit, phase):
 //   * est_accesses  — the aggregate LLC-miss counter apportioned by the
 //                     unit's share of address samples, and
 //   * time_fraction — the fraction of samples attributing to the unit
@@ -29,16 +29,23 @@ struct PhaseObservation {
   bool references(UnitRef u) const { return units.count(u) != 0; }
 };
 
-/// Apportion one phase's PMU evidence into per-unit profiles: the precise
-/// aggregate miss counter is split by each unit's share of attributed
-/// address samples, and time_fraction is Eq. 1's samples-with-data /
-/// total-samples.  Shared by the inline (exact) and deferred (sampled)
-/// attribution paths so both produce identical profiles for identical
-/// evidence.
-std::map<UnitRef, UnitPhaseProfile> apportion_profile(
-    const std::map<UnitRef, std::uint64_t>& counts, std::uint64_t attributed,
-    std::uint64_t total_samples, std::uint64_t total_miss_count,
-    double phase_time_s);
+/// One phase's attributed profile (see attribute_phase).
+struct PhaseAttribution {
+  std::map<UnitRef, UnitPhaseProfile> units;
+  std::uint64_t attributed = 0;  ///< address samples that hit a unit
+};
+
+/// The one place a miss address is mapped to a unit.  Looks up each of the
+/// phase's sampled miss addresses in `spans` (binary search; addresses no
+/// span covers are dropped), then apportions: the precise aggregate miss
+/// counter is split by each unit's share of attributed address samples,
+/// and time_fraction is Eq. 1's samples-with-data / total-samples.  The
+/// exact tier calls it inline at phase close and the sampled tier calls it
+/// on the aggregation thread, both against the snapshot taken when the
+/// phase closed, so identical evidence yields identical profiles.
+PhaseAttribution attribute_phase(const perf::PhaseSamples& samples,
+                                 const Registry::AddrSnapshot& spans,
+                                 double phase_time_s);
 
 /// Outcome of Profiler::fold (see below).
 enum class FoldStatus {
@@ -49,13 +56,13 @@ enum class FoldStatus {
 
 class Profiler {
  public:
-  explicit Profiler(const Registry* registry) : registry_(registry) {}
-
   /// Forget the previous iteration's observations.
   void begin_iteration() { phases_.clear(); }
 
-  /// Record one computation phase from its sample stream.
-  void record_phase(const perf::PhaseSamples& samples, double phase_time_s);
+  /// Record one computation phase from its sample stream, attributed
+  /// inline against `spans` (the address map at phase close).
+  void record_phase(const perf::PhaseSamples& samples,
+                    const Registry::AddrSnapshot& spans, double phase_time_s);
 
   /// Record a communication phase (no object attribution).
   void record_comm_phase(double phase_time_s);
@@ -97,7 +104,6 @@ class Profiler {
   std::vector<UnitRef> hot_units() const;
 
  private:
-  const Registry* registry_;
   std::vector<PhaseObservation> phases_;
 };
 

@@ -1,5 +1,6 @@
 #include "core/registry.h"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -8,8 +9,39 @@
 
 namespace unimem::rt {
 
+namespace {
+
+using AddrSpan = Registry::AddrSpan;
+using AddrSnapshot = Registry::AddrSnapshot;
+
+AddrSpan span_of(const Chunk& c, UnitRef unit) {
+  const auto lo = reinterpret_cast<std::uint64_t>(c.data());
+  return AddrSpan{lo, lo + c.bytes, unit};
+}
+
+// One copy-on-write step of the address map: `cur` minus the spans whose
+// unit `drop` selects, plus `add` (empty ranges are never mapped), sorted
+// by lo.  Always a new vector; `cur` and its holders are left untouched.
+template <typename Drop>
+std::shared_ptr<const AddrSnapshot> remap(const AddrSnapshot& cur, Drop drop,
+                                          std::vector<AddrSpan> add) {
+  auto next = std::make_shared<AddrSnapshot>();
+  next->reserve(cur.size() + add.size());
+  for (const AddrSpan& s : cur)
+    if (!drop(s.unit)) next->push_back(s);
+  const auto kept = static_cast<std::ptrdiff_t>(next->size());
+  for (const AddrSpan& s : add)
+    if (s.lo < s.hi) next->push_back(s);
+  auto by_lo = [](const AddrSpan& a, const AddrSpan& b) { return a.lo < b.lo; };
+  std::sort(next->begin() + kept, next->end(), by_lo);
+  std::inplace_merge(next->begin(), next->begin() + kept, next->end(), by_lo);
+  return next;
+}
+
+}  // namespace
+
 Registry::Registry(mem::HeteroMemory* hms, mem::DramArbiter* arbiter)
-    : hms_(hms), arbiter_(arbiter) {}
+    : hms_(hms), arbiter_(arbiter), spans_(std::make_shared<AddrSnapshot>()) {}
 
 Registry::~Registry() {
   std::lock_guard<std::mutex> lk(mu_);
@@ -52,6 +84,8 @@ DataObject* Registry::create(const std::string& name, std::size_t bytes,
     n_chunks = (bytes + chunk_bytes - 1) / chunk_bytes;
 
   std::size_t remaining = bytes;
+  std::vector<AddrSpan> added;
+  added.reserve(n_chunks);
   for (std::size_t i = 0; i < n_chunks; ++i) {
     std::size_t sz = n_chunks == 1
                          ? bytes
@@ -61,10 +95,9 @@ DataObject* Registry::create(const std::string& name, std::size_t bytes,
     chunk->bytes = align_up(sz, kCacheLine);
     void* p = allocate_in(initial, chunk->bytes);
     if (p == nullptr) {
-      // Roll back everything allocated so far.
+      // Roll back everything allocated so far (nothing is mapped yet).
       for (std::size_t j = 0; j < obj->chunks_.size(); ++j) {
         Chunk& c = *obj->chunks_[j];
-        unmap_unit(c);
         release_in(c.current_tier(), c.data(), c.bytes);
       }
       throw std::bad_alloc();
@@ -73,9 +106,11 @@ DataObject* Registry::create(const std::string& name, std::size_t bytes,
     chunk->ptr.store(p, std::memory_order_release);
     chunk->tier.store(static_cast<int>(initial), std::memory_order_release);
     obj->chunks_.push_back(std::move(chunk));
-    map_unit(*obj->chunks_.back(), UnitRef{id, static_cast<std::uint32_t>(i)});
+    added.push_back(span_of(*obj->chunks_.back(),
+                            UnitRef{id, static_cast<std::uint32_t>(i)}));
   }
 
+  spans_ = remap(*spans_, [](UnitRef) { return false; }, std::move(added));
   objects_.push_back(std::move(obj));
   return objects_.back().get();
 }
@@ -86,9 +121,9 @@ void Registry::destroy(ObjectId id) {
   if (!obj) return;
   for (std::size_t i = 0; i < obj->chunk_count(); ++i) {
     Chunk& c = obj->chunk(i);
-    unmap_unit(c);
     release_in(c.current_tier(), c.data(), c.bytes);
   }
+  spans_ = remap(*spans_, [id](UnitRef u) { return u.object == id; }, {});
   obj.reset();
 }
 
@@ -97,17 +132,6 @@ void Registry::add_alias(ObjectId id, void** alias) {
   auto& obj = objects_.at(id);
   obj->aliases_.push_back(alias);
   *alias = obj->chunk(0).data();
-}
-
-void Registry::map_unit(const Chunk& c, UnitRef ref) {
-  auto lo = reinterpret_cast<std::uint64_t>(c.data());
-  addr_map_.insert(lo, lo + c.bytes, ref);
-  ++addr_version_;
-}
-
-void Registry::unmap_unit(const Chunk& c) {
-  addr_map_.erase(reinterpret_cast<std::uint64_t>(c.data()));
-  ++addr_version_;
 }
 
 bool Registry::migrate(UnitRef unit, mem::Tier to) {
@@ -141,10 +165,10 @@ std::optional<Registry::PendingCopy> Registry::migrate_start(UnitRef unit,
   pc.bytes = c.bytes;
   pc.from = from;
 
-  unmap_unit(c);
   c.ptr.store(dst, std::memory_order_release);
   c.tier.store(static_cast<int>(to), std::memory_order_release);
-  map_unit(c, unit);
+  spans_ = remap(*spans_, [unit](UnitRef u) { return u == unit; },
+                 {span_of(c, unit)});
   // Allowance accounting follows the decision, not the copy: the allowance
   // is a placement budget, and placement just changed.
   if (arbiter_ != nullptr) arbiter_->release_tier(mem::tier_index(from), c.bytes);
@@ -161,29 +185,9 @@ void Registry::finish_migration(const PendingCopy& c) {
   hms_->deallocate(c.from, c.src);
 }
 
-std::optional<UnitRef> Registry::attribute(std::uint64_t addr) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return addr_map_.find(addr);
-}
-
-std::uint64_t Registry::addr_version() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return addr_version_;
-}
-
 std::shared_ptr<const Registry::AddrSnapshot> Registry::addr_snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
-  if (snapshot_version_ != addr_version_) {
-    auto snap = std::make_shared<AddrSnapshot>();
-    snap->reserve(addr_map_.size());
-    addr_map_.for_each([&](std::uint64_t lo, std::uint64_t hi,
-                           const UnitRef& u) {
-      snap->push_back(AddrSpan{lo, hi, u});
-    });
-    snapshot_cache_ = std::move(snap);
-    snapshot_version_ = addr_version_;
-  }
-  return snapshot_cache_;
+  return spans_;
 }
 
 DataObject* Registry::get(ObjectId id) {
@@ -228,8 +232,12 @@ std::vector<UnitRef> Registry::units_overlapping(std::uint64_t lo,
                                                  std::uint64_t hi) const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<UnitRef> out;
-  addr_map_.for_each_overlapping(lo, hi,
-                                 [&](const UnitRef& u) { out.push_back(u); });
+  if (lo >= hi) return out;
+  // Spans are disjoint and sorted by lo, so also by hi: skip every span
+  // ending at or before lo, then take spans until one starts at hi.
+  auto it = std::partition_point(spans_->begin(), spans_->end(),
+                                 [lo](const AddrSpan& s) { return s.hi <= lo; });
+  for (; it != spans_->end() && it->lo < hi; ++it) out.push_back(it->unit);
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Object registry: owns all target data objects of one rank, performs the
-// actual tier allocations, maintains the address->unit attribution map the
-// profiler uses to map sampled miss addresses back to objects, and performs
-// migrations (allocate in destination tier, copy payload, repoint handle
-// and registered aliases, free source).
+// actual tier allocations, publishes the address map (an immutable sorted
+// span vector) the profiler uses to map sampled miss addresses back to
+// objects, and performs migrations (allocate in destination tier, copy
+// payload, repoint handle and registered aliases, free source).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/interval_map.h"
 #include "core/object.h"
 #include "simmem/dram_arbiter.h"
 #include "simmem/hetero_memory.h"
@@ -45,8 +44,7 @@ class Registry {
   void add_alias(ObjectId id, void** alias);
 
   /// Move one unit to `to`.  Returns false (no state change) when the
-  /// destination cannot hold it (arena full or arbiter refuses).  Safe to
-  /// call from the helper thread concurrently with profiler lookups.
+  /// destination cannot hold it (arena full or arbiter refuses).
   bool migrate(UnitRef unit, mem::Tier to);
 
   /// Split migration, decision half (see MigrationEngine): allocate in
@@ -71,28 +69,22 @@ class Registry {
   /// registry lock — safe from the copy helper thread.
   void finish_migration(const PendingCopy& c);
 
-  /// Attribute a sampled miss address to a unit, if it belongs to one.
-  std::optional<UnitRef> attribute(std::uint64_t addr) const;
-
-  /// One row of an attribution snapshot: unit mapped at [lo, hi).
+  /// One row of the address map: unit mapped at [lo, hi).
   struct AddrSpan {
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
     UnitRef unit;
+
+    bool operator==(const AddrSpan&) const = default;
   };
+  /// The address map: non-overlapping, non-empty spans sorted by `lo`.
   using AddrSnapshot = std::vector<AddrSpan>;
 
-  /// Monotonic counter bumped whenever the address map changes (create /
-  /// destroy / migrate).  Lets deferred-attribution callers cheaply decide
-  /// whether a cached addr_snapshot() is still current.
-  std::uint64_t addr_version() const;
-
-  /// Immutable copy of the address map, sorted by `lo`.  Sampled-mode
-  /// profiling attributes miss addresses off the rank thread against the
-  /// snapshot taken when the phase closed: migrations repoint the live map
-  /// synchronously on the rank thread (and freed ranges can be reused), so
-  /// a live lookup at drain time would misattribute.  The snapshot pins the
-  /// phase's own view.
+  /// The current address map.  Every create / destroy / migrate publishes
+  /// a new vector (copy-on-write) and never touches a published one, so a
+  /// holder keeps the view it took: profiling attributes a phase's miss
+  /// addresses against the map as it was when the phase closed, even after
+  /// a later migration repoints the unit or a freed range is reused.
   std::shared_ptr<const AddrSnapshot> addr_snapshot() const;
 
   DataObject* get(ObjectId id);
@@ -121,8 +113,6 @@ class Registry {
   std::size_t resident_bytes(mem::Tier t) const;
 
  private:
-  void map_unit(const Chunk& c, UnitRef ref);
-  void unmap_unit(const Chunk& c);
   void* allocate_in(mem::Tier t, std::size_t bytes);
   void release_in(mem::Tier t, void* p, std::size_t bytes);
 
@@ -130,12 +120,7 @@ class Registry {
   mem::DramArbiter* arbiter_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<DataObject>> objects_;
-  IntervalMap<UnitRef> addr_map_;
-  std::uint64_t addr_version_ = 0;  // guarded by mu_
-  /// Cache: snapshot of addr_map_ at version snapshot_version_ (guarded by
-  /// mu_; shared_ptr hands out immutable views without copying per call).
-  mutable std::shared_ptr<const AddrSnapshot> snapshot_cache_;
-  mutable std::uint64_t snapshot_version_ = ~0ull;
+  std::shared_ptr<const AddrSnapshot> spans_;  // never null; guarded by mu_
 };
 
 }  // namespace unimem::rt

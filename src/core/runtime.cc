@@ -10,14 +10,13 @@ namespace unimem::rt {
 
 Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
                  mem::DramArbiter* arbiter, mpi::Comm* comm)
-    : opts_(opts), hms_(hms), comm_(comm), profiler_(nullptr) {
+    : opts_(opts), hms_(hms), comm_(comm) {
   if (opts_.use_exact_cache)
     cache_ = std::make_unique<cache::ExactCache>(opts_.cache);
   else
     cache_ = std::make_unique<cache::AnalyticCache>(opts_.cache);
 
   registry_ = std::make_unique<Registry>(hms_, arbiter);
-  profiler_ = Profiler(registry_.get());
   engine_ = std::make_unique<ExecEngine>(hms_, cache_.get(), opts_.timing);
   migrator_ = std::make_unique<MigrationEngine>(registry_.get());
   sampler_ = std::make_unique<perf::Sampler>(opts_.timing, opts_.sampler_seed);
@@ -294,11 +293,14 @@ void Runtime::close_phase(bool is_comm, double comm_time) {
       aggregator_->submit(std::move(b));
       batches_pending_ = true;
     } else {
+      // Exact tier: attribute every address inline, against the address
+      // map as it stands at phase close.
       perf::PhaseSamples samples =
           sampler_->sample_phase(phase_windows_, phase_compute_s_, phase_time);
       charge_overhead(static_cast<double>(samples.miss_addresses.size()) *
                       opts_.overhead_per_sample_s);
-      profiler_.record_phase(samples, phase_time);
+      profiler_.record_phase(samples, *registry_->addr_snapshot(),
+                             phase_time);
     }
   }
   if (mode_ == Mode::kEnforcing) {

@@ -1,6 +1,7 @@
 #include "core/sampled_profile.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace unimem::rt {
 
@@ -57,31 +58,8 @@ void ProfileAggregator::worker_loop() {
 }
 
 ProfileAggregator::SlotProfile ProfileAggregator::process(const Batch& b) {
-  SlotProfile out;
-  out.slot = b.slot;
-
-  // Attribute each buffered address against the phase's snapshot
-  // (binary search over spans sorted by lo).
-  std::map<UnitRef, std::uint64_t> counts;
-  if (b.snapshot && !b.snapshot->empty()) {
-    const auto& spans = *b.snapshot;
-    for (std::uint64_t addr : b.samples.miss_addresses) {
-      auto it = std::upper_bound(
-          spans.begin(), spans.end(), addr,
-          [](std::uint64_t a, const Registry::AddrSpan& s) { return a < s.lo; });
-      if (it == spans.begin()) continue;
-      --it;
-      if (addr < it->hi) {
-        ++counts[it->unit];
-        ++out.attributed;
-      }
-    }
-  }
-
-  out.units = apportion_profile(counts, out.attributed,
-                                b.samples.total_samples,
-                                b.samples.total_miss_count, b.phase_time_s);
-  return out;
+  PhaseAttribution a = attribute_phase(b.samples, *b.snapshot, b.phase_time_s);
+  return SlotProfile{b.slot, std::move(a.units), a.attributed};
 }
 
 }  // namespace unimem::rt

@@ -2,12 +2,13 @@
 // do the minimum on the hot thread, centralize the rest).
 //
 // In sampled mode the rank thread only gates and buffers miss addresses;
-// attribution (address -> unit) and apportioning happen here, on a single
-// aggregation thread, against the immutable address-map snapshot captured
-// when the phase closed.  The snapshot matters for correctness, not just
-// speed: migrations repoint the live registry map synchronously on the
-// rank thread, and freed ranges can be reused by later allocations, so a
-// live lookup at drain time would misattribute the phase's addresses.
+// attribution (attribute_phase, the same function the exact tier runs
+// inline) happens here, on a single aggregation thread, against the
+// immutable address map captured when the phase closed.  The snapshot
+// matters for correctness, not just speed: migrations publish a new map
+// synchronously on the rank thread, and freed ranges can be reused by
+// later allocations, so the map current at drain time would misattribute
+// the phase's addresses.
 //
 // Determinism: results depend only on batch contents (samples + snapshot),
 // never on when the worker runs.  The rank thread folds results back into
@@ -37,7 +38,7 @@ class ProfileAggregator {
     std::size_t slot = 0;  ///< Profiler::record_phase_pending slot
     perf::PhaseSamples samples;
     double phase_time_s = 0;
-    std::shared_ptr<const Registry::AddrSnapshot> snapshot;
+    std::shared_ptr<const Registry::AddrSnapshot> snapshot;  ///< non-null
   };
 
   /// One phase's finished per-unit profile.

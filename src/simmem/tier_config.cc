@@ -1,7 +1,7 @@
 #include "simmem/tier_config.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -52,7 +52,8 @@ BackendRegistry& backend_registry() {
   return reg;
 }
 
-/// "8MiB" / "512KiB" / "1GiB" / "4096" -> bytes; throws on garbage.
+/// "8MiB" / "512KiB" / "1GiB" / "4096" -> bytes; throws on garbage and on
+/// values that do not fit a size_t (digits or digits x suffix).
 std::size_t parse_capacity(const std::string& s) {
   std::size_t mult = 1;
   std::string digits = s;
@@ -66,8 +67,16 @@ std::size_t parse_capacity(const std::string& s) {
   if (digits.empty() ||
       digits.find_first_not_of("0123456789") != std::string::npos)
     throw std::invalid_argument("parse_topology: bad capacity '" + s + "'");
-  return static_cast<std::size_t>(std::strtoull(digits.c_str(), nullptr, 10)) *
-         mult;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  std::size_t n = 0;
+  for (char ch : digits) {
+    const auto d = static_cast<std::size_t>(ch - '0');
+    if (n > (kMax - d) / 10 || n * 10 + d > kMax / mult)
+      throw std::invalid_argument("parse_topology: capacity '" + s +
+                                  "' overflows");
+    n = n * 10 + d;
+  }
+  return n * mult;
 }
 
 }  // namespace

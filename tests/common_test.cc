@@ -1,9 +1,6 @@
-// Unit tests for the common utilities: units, RNG, interval map.
+// Unit tests for the common utilities: units, RNG.
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "common/interval_map.h"
 #include "common/rng.h"
 #include "common/units.h"
 
@@ -62,56 +59,6 @@ TEST(Rng, UniformInRange) {
 TEST(Rng, BelowBound) {
   Rng r(9);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(r.below(17), 17u);
-}
-
-TEST(IntervalMap, InsertAndFind) {
-  IntervalMap<int> m;
-  EXPECT_TRUE(m.insert(100, 200, 1));
-  EXPECT_TRUE(m.insert(200, 300, 2));
-  EXPECT_EQ(m.find(100).value(), 1);
-  EXPECT_EQ(m.find(199).value(), 1);
-  EXPECT_EQ(m.find(200).value(), 2);
-  EXPECT_EQ(m.find(299).value(), 2);
-  EXPECT_FALSE(m.find(300).has_value());
-  EXPECT_FALSE(m.find(99).has_value());
-}
-
-TEST(IntervalMap, RejectsOverlap) {
-  IntervalMap<int> m;
-  ASSERT_TRUE(m.insert(100, 200, 1));
-  EXPECT_FALSE(m.insert(150, 250, 2));  // overlaps tail
-  EXPECT_FALSE(m.insert(50, 150, 3));   // overlaps head
-  EXPECT_FALSE(m.insert(120, 180, 4));  // nested
-  EXPECT_FALSE(m.insert(100, 200, 5));  // identical
-  EXPECT_TRUE(m.insert(200, 210, 6));   // adjacent is fine
-  EXPECT_TRUE(m.insert(90, 100, 7));
-}
-
-TEST(IntervalMap, RejectsEmptyInterval) {
-  IntervalMap<int> m;
-  EXPECT_FALSE(m.insert(5, 5, 1));
-  EXPECT_FALSE(m.insert(6, 5, 1));
-}
-
-TEST(IntervalMap, Erase) {
-  IntervalMap<int> m;
-  ASSERT_TRUE(m.insert(0, 10, 1));
-  EXPECT_TRUE(m.erase(0));
-  EXPECT_FALSE(m.erase(0));
-  EXPECT_FALSE(m.find(5).has_value());
-  EXPECT_TRUE(m.insert(0, 10, 2));  // reusable after erase
-  EXPECT_EQ(m.find(5).value(), 2);
-}
-
-TEST(IntervalMap, ManyDisjointIntervals) {
-  IntervalMap<std::uint64_t> m;
-  for (std::uint64_t i = 0; i < 500; ++i)
-    ASSERT_TRUE(m.insert(i * 100, i * 100 + 60, i));
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    EXPECT_EQ(m.find(i * 100 + 30).value(), i);
-    EXPECT_FALSE(m.find(i * 100 + 80).has_value());
-  }
-  EXPECT_EQ(m.size(), 500u);
 }
 
 }  // namespace

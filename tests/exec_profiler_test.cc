@@ -115,8 +115,12 @@ class ProfilerTest : public ::testing::Test {
  protected:
   ProfilerTest()
       : hms_(mem::HmsConfig::scaled(0.5, 1.0, 8 * kMiB, 64 * kMiB)),
-        reg_(&hms_, nullptr),
-        prof_(&reg_) {}
+        reg_(&hms_, nullptr) {}
+
+  /// Record an exact-tier phase against the registry's current map.
+  void record(const perf::PhaseSamples& s, double phase_time_s) {
+    prof_.record_phase(s, *reg_.addr_snapshot(), phase_time_s);
+  }
 
   perf::PhaseSamples samples_for(DataObject* o, std::uint64_t n_addr,
                                  std::uint64_t misses) {
@@ -136,7 +140,7 @@ class ProfilerTest : public ::testing::Test {
 
 TEST_F(ProfilerTest, AttributesAddressesToUnits) {
   DataObject* o = reg_.create("o", kMiB, {}, mem::Tier::kNvm);
-  prof_.record_phase(samples_for(o, 500, 80000), 1e-3);
+  record(samples_for(o, 500, 80000), 1e-3);
   ASSERT_EQ(prof_.phase_count(), 1u);
   const auto& ph = prof_.phases()[0];
   auto it = ph.units.find(UnitRef{o->id(), 0});
@@ -151,16 +155,16 @@ TEST_F(ProfilerTest, UnknownAddressesIgnored) {
   s.total_samples = 100;
   s.total_miss_count = 1000;
   s.miss_addresses = {1, 2, 3};  // not any object's range
-  prof_.record_phase(s, 1e-3);
+  record(s, 1e-3);
   EXPECT_TRUE(prof_.phases()[0].units.empty());
 }
 
 TEST_F(ProfilerTest, LastReferenceBeforeWrapsCyclically) {
   DataObject* a = reg_.create("a", kMiB, {}, mem::Tier::kNvm);
   DataObject* b = reg_.create("b", kMiB, {}, mem::Tier::kNvm);
-  prof_.record_phase(samples_for(a, 100, 1000), 1e-3);  // phase 0: a
-  prof_.record_comm_phase(1e-4);                        // phase 1
-  prof_.record_phase(samples_for(b, 100, 1000), 1e-3);  // phase 2: b
+  record(samples_for(a, 100, 1000), 1e-3);  // phase 0: a
+  prof_.record_comm_phase(1e-4);            // phase 1
+  record(samples_for(b, 100, 1000), 1e-3);  // phase 2: b
   EXPECT_EQ(prof_.last_reference_before(2, UnitRef{a->id(), 0}), 0);
   EXPECT_EQ(prof_.last_reference_before(0, UnitRef{b->id(), 0}), 2);  // wrap
   EXPECT_EQ(prof_.last_reference_before(2, UnitRef{b->id(), 0}), -1);
@@ -170,9 +174,9 @@ TEST_F(ProfilerTest, FoldAveragesIterations) {
   DataObject* o = reg_.create("o", kMiB, {}, mem::Tier::kNvm);
   // Two profiled iterations of the same 2-phase structure with different
   // sampled intensities: folding averages them.
-  prof_.record_phase(samples_for(o, 100, 60000), 2e-3);
+  record(samples_for(o, 100, 60000), 2e-3);
   prof_.record_comm_phase(1e-4);
-  prof_.record_phase(samples_for(o, 100, 20000), 1e-3);
+  record(samples_for(o, 100, 20000), 1e-3);
   prof_.record_comm_phase(1e-4);
   EXPECT_EQ(prof_.fold(2), FoldStatus::kOk);
   ASSERT_EQ(prof_.phase_count(), 2u);
@@ -187,9 +191,9 @@ TEST_F(ProfilerTest, FoldTruncatesNonDivisibleTail) {
   // 3 phases, period 2: the largest divisible prefix (2 phases = 2 periods
   // of the 1-phase iteration) folds; the partial tail is dropped instead
   // of silently leaving the profile un-averaged.
-  prof_.record_phase(samples_for(o, 10, 60000), 1e-3);
-  prof_.record_phase(samples_for(o, 10, 20000), 1e-3);
-  prof_.record_phase(samples_for(o, 10, 999999), 1e-3);
+  record(samples_for(o, 10, 60000), 1e-3);
+  record(samples_for(o, 10, 20000), 1e-3);
+  record(samples_for(o, 10, 999999), 1e-3);
   EXPECT_EQ(prof_.fold(2), FoldStatus::kTruncated);
   ASSERT_EQ(prof_.phase_count(), 1u);
   const auto& u = prof_.phases()[0].units.at(UnitRef{o->id(), 0});
@@ -202,7 +206,7 @@ TEST_F(ProfilerTest, FoldOfIdenticalPeriodsIsExact) {
   // division would report 100002 (or worse).  Summing raw counts and
   // dividing once must reproduce one period's counts exactly.
   for (int i = 0; i < 3; ++i) {
-    prof_.record_phase(samples_for(o, 10, 100003), 1e-3);
+    record(samples_for(o, 10, 100003), 1e-3);
     prof_.record_comm_phase(1e-4);
   }
   EXPECT_EQ(prof_.fold(3), FoldStatus::kOk);
@@ -216,10 +220,10 @@ TEST_F(ProfilerTest, FoldRejectsPhaseKindMismatch) {
   // Period 1 is (compute, comm) but period 2 is (comm, compute): the
   // periods are not repetitions of one iteration structure, so nothing
   // folds and the caller is told why.
-  prof_.record_phase(samples_for(o, 10, 100), 1e-3);
+  record(samples_for(o, 10, 100), 1e-3);
   prof_.record_comm_phase(1e-4);
   prof_.record_comm_phase(1e-4);
-  prof_.record_phase(samples_for(o, 10, 100), 1e-3);
+  record(samples_for(o, 10, 100), 1e-3);
   EXPECT_EQ(prof_.fold(2), FoldStatus::kKindMismatch);
   EXPECT_EQ(prof_.phase_count(), 4u);  // untouched
 }

@@ -17,8 +17,7 @@ class PlannerTest : public ::testing::Test {
  protected:
   PlannerTest()
       : hms_(mem::HmsConfig::scaled(0.5, 1.0, 32 * kMiB, 128 * kMiB)),
-        reg_(&hms_, nullptr),
-        prof_(&reg_) {
+        reg_(&hms_, nullptr) {
     ModelParams p;
     p.bw_peak = hms_.config().nvm.read_bw;
     model_ = std::make_unique<PerformanceModel>(p, hms_.config().dram,
@@ -48,7 +47,7 @@ class PlannerTest : public ::testing::Test {
             (i * 64) % o->chunk(c).bytes);
       }
     }
-    prof_.record_phase(s, kT);
+    prof_.record_phase(s, *reg_.addr_snapshot(), kT);
   }
 
   void comm_phase() { prof_.record_comm_phase(kT / 10); }

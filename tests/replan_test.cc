@@ -39,9 +39,8 @@ class ReplanTest : public ::testing::Test {
   /// Record a synthetic computation phase into `prof` where each listed
   /// object is observed with the given miss count (the planner_test
   /// scaffolding: samples proportional to each object's share).
-  static void phase(
-      Profiler& prof,
-      std::initializer_list<std::pair<DataObject*, std::uint64_t>> hot) {
+  void phase(Profiler& prof,
+             std::initializer_list<std::pair<DataObject*, std::uint64_t>> hot) {
     perf::PhaseSamples s;
     s.total_samples = 10000;
     std::uint64_t total = 0;
@@ -56,7 +55,7 @@ class ReplanTest : public ::testing::Test {
             (i * 64) % o->chunk(c).bytes);
       }
     }
-    prof.record_phase(s, kT);
+    prof.record_phase(s, *reg_.addr_snapshot(), kT);
   }
 
   ReplanController controller(std::size_t budget, double threshold = 0.25,
@@ -82,7 +81,7 @@ TEST_F(ReplanTest, ZeroDriftKeepsStalePlanAndMatchesFullDp) {
   DataObject* warm = obj("warm", 2 * kMiB);
   DataObject* cold = obj("cold", 2 * kMiB);
 
-  Profiler before(&reg_);
+  Profiler before;
   phase(before, {{hot, 500000}, {warm, 300000}, {cold, 1000}});
   before.record_comm_phase(kT / 10);
 
@@ -102,7 +101,7 @@ TEST_F(ReplanTest, ZeroDriftKeepsStalePlanAndMatchesFullDp) {
 
   // An identical second profile: nothing drifted, the stale plan stays —
   // which is exactly what a full DP re-solve would decide too.
-  Profiler after(&reg_);
+  Profiler after;
   phase(after, {{hot, 500000}, {warm, 300000}, {cold, 1000}});
   after.record_comm_phase(kT / 10);
 
@@ -132,7 +131,7 @@ TEST_F(ReplanTest, DriftDetectionBoundaries) {
 
   // Single-object phases so each unit's estimated accesses track its miss
   // count exactly (no cross-object sample apportioning).
-  Profiler before(&reg_);
+  Profiler before;
   phase(before, {{steady, 400000}});
   phase(before, {{creeping, 400000}});
   phase(before, {{jumping, 400000}});
@@ -143,7 +142,7 @@ TEST_F(ReplanTest, DriftDetectionBoundaries) {
 
   // +10% is rel 0.1/1.1 ~ 0.091 (relative to the larger reading): under
   // the 0.25 threshold.  2x is rel 0.5: over it.
-  Profiler after(&reg_);
+  Profiler after;
   phase(after, {{steady, 400000}});
   phase(after, {{creeping, 440000}});
   phase(after, {{jumping, 800000}});
@@ -155,7 +154,7 @@ TEST_F(ReplanTest, DriftDetectionBoundaries) {
 
   // A vanished unit drifts by definition (rel = 1): drop the jumping
   // phase entirely.
-  Profiler gone(&reg_);
+  Profiler gone;
   phase(gone, {{steady, 400000}});
   phase(gone, {{creeping, 400000}});
   DriftReport rep2 = ctl.classify(gone);
@@ -170,7 +169,7 @@ TEST_F(ReplanTest, FallbackTriggersAtTheDriftBudget) {
     name += std::to_string(i);
     objs.push_back(obj(name.c_str(), kMiB));
   }
-  Profiler before(&reg_);
+  Profiler before;
   for (DataObject* o : objs) phase(before, {{o, 400000}});
 
   ReplanController ctl =
@@ -178,7 +177,7 @@ TEST_F(ReplanTest, FallbackTriggersAtTheDriftBudget) {
   ctl.observe(before);
 
   // 6 of 8 units double: drift fraction 0.75 > 0.25 -> full re-solve.
-  Profiler big(&reg_);
+  Profiler big;
   for (std::size_t i = 0; i < objs.size(); ++i)
     phase(big, {{objs[i], i < 6 ? 800000u : 400000u}});
   ReplanDecision d = ctl.decide(big);
@@ -187,7 +186,7 @@ TEST_F(ReplanTest, FallbackTriggersAtTheDriftBudget) {
 
   // 1 of 8 drifts: within budget, the bounded repair path answers (the
   // newly hot outsider is worth promoting, so the repair wins).
-  Profiler small(&reg_);
+  Profiler small;
   for (std::size_t i = 0; i < objs.size(); ++i)
     phase(small, {{objs[i], i == 0 ? 800000u : 400000u}});
   ReplanDecision d2 = ctl.decide(small);
@@ -201,7 +200,7 @@ TEST_F(ReplanTest, IncrementalRepairSwapsDriftedResidentForNewlyHotUnit) {
   DataObject* steady = obj("steady", kMiB);
 
   // Baseline: fading is the hot resident, steady rides along.
-  Profiler before(&reg_);
+  Profiler before;
   phase(before, {{fading, 800000}});
   phase(before, {{steady, 300000}});
   phase(before, {{rising, 1000}});
@@ -214,7 +213,7 @@ TEST_F(ReplanTest, IncrementalRepairSwapsDriftedResidentForNewlyHotUnit) {
   ctl.observe(before);
 
   // The hot set flips: fading collapses, rising explodes; steady steady.
-  Profiler after(&reg_);
+  Profiler after;
   phase(after, {{fading, 1000}});
   phase(after, {{steady, 300000}});
   phase(after, {{rising, 800000}});
@@ -273,7 +272,7 @@ TEST_F(ReplanTest, PropertyRepairedPlanNeverWorseThanStaleAndFitsBudget) {
     }
 
     std::vector<std::uint64_t> misses;
-    Profiler before(&reg_);
+    Profiler before;
     for (DataObject* o : objs) {
       misses.push_back(100000 + rng.below(900000));
       phase(before, {{o, misses.back()}});
@@ -282,7 +281,7 @@ TEST_F(ReplanTest, PropertyRepairedPlanNeverWorseThanStaleAndFitsBudget) {
     ReplanController ctl = controller(budget, 0.25, /*drift_budget=*/1.1);
     ctl.observe(before);
 
-    Profiler after(&reg_);
+    Profiler after;
     for (std::size_t i = 0; i < objs.size(); ++i) {
       double f = rng.uniform(0.25, 3.0);  // heavy random drift
       phase(after, {{objs[i], static_cast<std::uint64_t>(

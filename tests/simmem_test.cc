@@ -8,9 +8,13 @@
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -244,6 +248,125 @@ TEST(ParseTopology, LaddersSuffixesAndErrors) {
   EXPECT_THROW(parse_topology("dram:1MiB"), std::invalid_argument);  // < 2
   EXPECT_THROW(parse_topology("bogus:1MiB,nvm:1MiB"), std::invalid_argument);
   EXPECT_THROW(parse_topology("dram:xx,nvm:1MiB"), std::invalid_argument);
+}
+
+TEST(ParseTopology, CapacityOverflowIsRejected) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  // 2^34 GiB is 2^64 bytes: used to wrap to 0.
+  EXPECT_THROW(parse_topology("dram:17179869184GiB,nvm:1GiB"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_topology("dram:17179869183GiB,nvm:1GiB").tiers[0]
+                .capacity_bytes,
+            kMax - kGiB + 1);
+  // One past ULLONG_MAX used to saturate silently.
+  EXPECT_THROW(parse_topology("dram:18446744073709551616,nvm:1MiB"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_topology("dram:99999999999999999999999999,nvm:1MiB"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_topology("dram:18446744073709551615,nvm:1MiB").tiers[0]
+                .capacity_bytes,
+            kMax);
+  EXPECT_EQ(parse_topology("dram:0000000000000000000000004KiB,nvm:1MiB")
+                .tiers[0]
+                .capacity_bytes,
+            4 * kKiB);
+}
+
+/// Reference capacity of one "name:capacity" part, in 128-bit arithmetic;
+/// nullopt when the text is not digits[+suffix] or the value exceeds size_t.
+std::optional<std::size_t> reference_capacity(const std::string& part) {
+  std::string text = part.substr(part.find(':') + 1);
+  unsigned __int128 mult = 1;
+  for (const auto& [suf, m] : {std::pair<const char*, std::size_t>{"KiB", kKiB},
+                               {"MiB", kMiB},
+                               {"GiB", kGiB}}) {
+    if (text.size() > 3 && text.compare(text.size() - 3, 3, suf) == 0) {
+      text.resize(text.size() - 3);
+      mult = m;
+      break;
+    }
+  }
+  if (text.empty()) return std::nullopt;
+  unsigned __int128 v = 0;
+  for (char ch : text) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    v = v * 10 + static_cast<unsigned>(ch - '0');
+    if (v > std::numeric_limits<std::size_t>::max()) return std::nullopt;
+  }
+  v *= mult;
+  if (v > std::numeric_limits<std::size_t>::max()) return std::nullopt;
+  return static_cast<std::size_t>(v);
+}
+
+TEST(ParseTopology, MutatedSpecsParseExactlyOrThrowInvalidArgument) {
+  // Seeds: the tier_ladder and table4 ladders, and the README examples.
+  const std::vector<std::string> corpus = {
+      "hbm:2MiB,dram:8MiB,nvm:512MiB",
+      "hbm:2MiB,dram:8MiB,cxl:32MiB,nvm:512MiB",
+      "hbm:1MiB,dram:4MiB,nvm:512MiB",
+      "hbm:4MiB,dram:16MiB,nvm:512MiB",
+      "dram:64KiB,nvm:1GiB",
+      "dram:4096,nvm:1MiB",
+      "dram:1MiB,remote:64MiB",
+  };
+  Rng rng(20170813);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    std::string m = corpus[rng.below(corpus.size())];
+    const int rounds = 1 + static_cast<int>(rng.below(3));
+    for (int r = 0; r < rounds; ++r) {
+      switch (rng.below(4)) {
+        case 0:  // bit flip
+          if (!m.empty())
+            m[rng.below(m.size())] ^= static_cast<char>(1u << rng.below(8));
+          break;
+        case 1:  // truncation
+          m.resize(rng.below(m.size() + 1));
+          break;
+        case 2: {  // splice: our prefix + another seed's suffix
+          const std::string& o = corpus[rng.below(corpus.size())];
+          m = m.substr(0, rng.below(m.size() + 1)) +
+              o.substr(rng.below(o.size() + 1));
+          break;
+        }
+        default: {  // huge digit run, replacing or extending a capacity
+          std::string run(15 + rng.below(30), '0');
+          for (char& c : run) c = static_cast<char>('0' + rng.below(10));
+          const std::size_t at = m.find(':', rng.below(m.size() + 1));
+          if (at == std::string::npos) {
+            m += run;
+          } else {
+            const std::size_t end = std::min(m.find(',', at), m.size());
+            const std::size_t keep = rng.below(end - at);  // digits kept
+            m = m.substr(0, at + 1 + keep) + run + m.substr(end);
+          }
+          break;
+        }
+      }
+    }
+    TopologyConfig topo;
+    try {
+      topo = parse_topology(m);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    // Accepted: every tier's capacity is exactly the text's value.
+    std::size_t pos = 0;
+    for (const TierConfig& t : topo.tiers) {
+      const std::size_t comma = std::min(m.find(',', pos), m.size());
+      const std::optional<std::size_t> want =
+          reference_capacity(m.substr(pos, comma - pos));
+      ASSERT_TRUE(want.has_value()) << "accepted '" << m << "'";
+      EXPECT_EQ(t.capacity_bytes, *want) << "'" << m << "'";
+      pos = comma + 1;
+    }
+  }
+  // Both outcomes must actually be exercised.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(HeteroMemory, NTierTopologyAllocationAndBackstop) {
