@@ -1,10 +1,11 @@
-// Micro-benchmarks (google-benchmark) for the core components: knapsack
-// solver (DP vs greedy), cache models (exact vs analytic), the arena
-// allocator, minimpi collectives, and the migration engine's copy path.
+// Micro-benchmarks (google-benchmark) for the core components: the
+// placement solver (2-tier 0-1 and N-tier multiple-choice calls, dense DP
+// and bounded path), cache models (exact vs analytic), the arena allocator,
+// minimpi collectives, and the migration engine's copy path.
 //
 // The *Production benchmarks below are the before/after anchors recorded in
 // BENCH_components.json (see scripts/bench_components.sh and the README
-// "Perf methodology" section): they size the exact-cache and knapsack hot
+// "Perf methodology" section): they size the exact-cache and solver hot
 // paths the way the planning loop sees them at production problem scales.
 #include <benchmark/benchmark.h>
 
@@ -30,12 +31,15 @@ namespace {
 
 using namespace unimem;
 
+constexpr std::size_t kUnbounded = rt::KnapsackSolver::kUnbounded;
+
+/// 0-1 items (the 2-tier call): weight w in DRAM, 0.0 on the backstop.
 std::vector<rt::KnapsackItem> make_items(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<rt::KnapsackItem> items;
   for (std::size_t i = 0; i < n; ++i)
-    items.push_back(
-        rt::KnapsackItem{rng.uniform(0.0, 1.0), 64 * (1 + rng.below(4096))});
+    items.push_back(rt::KnapsackItem{{rng.uniform(0.0, 1.0), 0.0},
+                                     64 * (1 + rng.below(4096))});
   return items;
 }
 
@@ -46,7 +50,7 @@ std::vector<rt::KnapsackItem> make_production_items(std::size_t n,
   Rng rng(seed);
   std::vector<rt::KnapsackItem> items;
   for (std::size_t i = 0; i < n; ++i)
-    items.push_back(rt::KnapsackItem{rng.uniform(0.0, 1.0),
+    items.push_back(rt::KnapsackItem{{rng.uniform(0.0, 1.0), 0.0},
                                      64 * kKiB * (1 + rng.below(127))});
   return items;
 }
@@ -55,7 +59,7 @@ void BM_KnapsackDP(benchmark::State& state) {
   auto items = make_items(static_cast<std::size_t>(state.range(0)), 42);
   rt::KnapsackSolver solver(64 * 1024);
   for (auto _ : state) {
-    auto r = solver.solve(items, 8 << 20);
+    auto r = solver.solve(items, {8 << 20, kUnbounded});
     benchmark::DoNotOptimize(r.total_weight);
   }
 }
@@ -70,7 +74,7 @@ void BM_KnapsackDPProduction(benchmark::State& state) {
   auto items = make_production_items(n, 42);
   rt::KnapsackSolver solver(64 * kKiB);
   for (auto _ : state) {
-    auto r = solver.solve(items, cap);
+    auto r = solver.solve(items, {cap, kUnbounded});
     benchmark::DoNotOptimize(r.total_weight);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -83,6 +87,39 @@ BENCHMARK(BM_KnapsackDPProduction)
     ->Args({2048, 128})
     ->Args({2048, 512})
     ->Unit(benchmark::kMillisecond);
+
+/// N-tier ladders: `state.range(0)` tiers, the constrained ones the last
+/// T-1 rungs of {2, 8, 32} MiB over an unbounded backstop; each chunk is
+/// worth less on every slower tier.  256 items over {8, 32} MiB is a dense
+/// 3-tier DP; {2, 8, 32} MiB passes kDenseDpCellBudget into the bounded
+/// path.
+void BM_MckpProduction(benchmark::State& state) {
+  const auto tiers = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kItems = 256;
+  const std::vector<std::size_t> rungs = {2 * kMiB, 8 * kMiB, 32 * kMiB};
+  std::vector<std::size_t> caps(rungs.end() - (tiers - 1), rungs.end());
+  caps.push_back(kUnbounded);
+  Rng rng(42);
+  std::vector<rt::KnapsackItem> items;
+  for (std::size_t i = 0; i < kItems; ++i) {
+    rt::KnapsackItem it;
+    const double hot = rng.uniform(0.0, 1.0);
+    for (std::size_t k = 0; k < tiers; ++k)
+      it.weights.push_back(hot * rng.uniform(0.5, 1.0) *
+                           static_cast<double>(tiers - 1 - k) /
+                           static_cast<double>(tiers - 1));
+    it.bytes = 64 * kKiB * (1 + rng.below(127));
+    items.push_back(std::move(it));
+  }
+  rt::KnapsackSolver solver(64 * kKiB);
+  for (auto _ : state) {
+    auto r = solver.solve(items, caps);
+    benchmark::DoNotOptimize(r.total_weight);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kItems));
+}
+BENCHMARK(BM_MckpProduction)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // Adaptive re-planning (core/replan.h): the epoch-cadence choice is
 // between a full knapsack re-solve over every item — which is exactly
@@ -101,23 +138,35 @@ void BM_ReplanIncrementalRepairProduction(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t cap = static_cast<std::size_t>(state.range(1)) * kMiB;
   const auto pct = static_cast<std::size_t>(state.range(2));
-  auto old_items = make_production_items(n, 42);
-  auto new_items = old_items;
+  const auto items = make_production_items(n, 42);
+  // Per-unit weights before and after the drift, kept apart from the items
+  // the way the controller keeps its weight snapshots.
+  std::vector<double> w_old(n);
+  std::vector<double> w_new(n);
   Rng rng(77);
-  for (auto& it : new_items)
-    if (rng.below(100) < pct) it.weight *= rng.uniform(0.2, 3.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    w_old[i] = w_new[i] = items[i].weights[0];
+    if (rng.below(100) < pct) w_new[i] *= rng.uniform(0.2, 3.0);
+  }
   rt::KnapsackSolver solver(64 * kKiB);
+  // The re-score list keeps its slots across iterations, so the timed
+  // region is classification + the bounded solve, not allocator traffic.
+  std::vector<rt::KnapsackItem> drifted;
   for (auto _ : state) {
     // Drift classification: one pass over the per-item weight deltas.
-    std::vector<rt::KnapsackItem> drifted;
+    std::size_t nd = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double hi = std::max(old_items[i].weight, new_items[i].weight);
-      if (hi > 0 &&
-          std::abs(new_items[i].weight - old_items[i].weight) > 0.25 * hi)
-        drifted.push_back(new_items[i]);
+      const double hi = std::max(w_old[i], w_new[i]);
+      if (hi > 0 && std::abs(w_new[i] - w_old[i]) > 0.25 * hi) {
+        if (nd == drifted.size()) drifted.push_back(items[i]);
+        drifted[nd].weights[0] = w_new[i];
+        drifted[nd].bytes = items[i].bytes;
+        ++nd;
+      }
     }
+    drifted.resize(nd);
     // Bounded re-score of the drifted slice only.
-    auto r = solver.solve_bounded(drifted, cap * pct / 100);
+    auto r = solver.solve_bounded(drifted, {cap * pct / 100, kUnbounded});
     benchmark::DoNotOptimize(r.total_weight);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -134,7 +183,7 @@ void BM_KnapsackHugeProduction(benchmark::State& state) {
   auto items = make_production_items(8192, 42);
   rt::KnapsackSolver solver(64 * kKiB);
   for (auto _ : state) {
-    auto r = solver.solve(items, std::size_t{4096} * kMiB);
+    auto r = solver.solve(items, {std::size_t{4096} * kMiB, kUnbounded});
     benchmark::DoNotOptimize(r.total_weight);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8192);

@@ -1,7 +1,7 @@
 #include "core/knapsack.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cstdint>
 #include <stdexcept>
 
 namespace unimem::rt {
@@ -13,311 +13,263 @@ std::size_t granules(std::size_t bytes, std::size_t granule) {
   return (bytes + granule - 1) / granule;
 }
 
-/// Dense-DP size guard: past this many table cells the pseudo-polynomial
-/// DP stops being "lightweight enough to run online" (paper §3.1.3) and
-/// the solver switches to the bounded-approximation path.
-constexpr std::size_t kDenseDpCellBudget = std::size_t{1} << 25;
+/// The instance both paths solve: the constrained tiers that hold at least
+/// one granule ("open" tiers) and the candidates, i.e. the items with a
+/// positive marginal weight on some open tier they fit.  Every other item
+/// stays on its best unbounded tier.
+struct Candidates {
+  std::vector<int> tier;          ///< open tiers, in index order
+  std::vector<std::size_t> cap;   ///< their capacities in granules
+  std::vector<std::size_t> item;  ///< candidate -> item index, item order
+  std::vector<std::size_t> g;     ///< candidate sizes in granules
+  std::size_t total_g = 0;        ///< sum of g
+  /// gain[c * tier.size() + j]: candidate c's weight on open tier j minus
+  /// its weight on its best unbounded tier, or 0 where tier j cannot take
+  /// it.  Working on marginals makes the unbounded choice add exactly 0.0,
+  /// so the 2-tier DP sums are the classic 0-1 sums bit for bit.
+  std::vector<double> gain;
+};
+
+/// Validates the instance, parks every item on its best unbounded tier and
+/// returns the candidates — the one filter both entry points share.
+Candidates prepare(const std::vector<KnapsackItem>& items,
+                   const std::vector<std::size_t>& capacities,
+                   std::size_t granule, std::vector<int>* choice) {
+  Candidates c;
+  std::vector<int> unbounded;
+  for (std::size_t k = 0; k < capacities.size(); ++k) {
+    if (capacities[k] == KnapsackSolver::kUnbounded) {
+      unbounded.push_back(static_cast<int>(k));
+    } else if (capacities[k] / granule > 0) {
+      c.tier.push_back(static_cast<int>(k));
+      c.cap.push_back(capacities[k] / granule);
+    }
+  }
+  if (unbounded.empty())
+    throw std::invalid_argument(
+        "KnapsackSolver: at least one tier must be kUnbounded (the backstop)");
+  for (const KnapsackItem& it : items)
+    if (it.weights.size() != capacities.size())
+      throw std::invalid_argument(
+          "KnapsackSolver: item weight arity != tier count");
+
+  const std::size_t m = c.tier.size();
+  std::vector<double> gain(m);
+  choice->resize(items.size());
+  c.item.reserve(items.size());
+  c.g.reserve(items.size());
+  c.gain.reserve(items.size() * m);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const std::vector<double>& w = items[i].weights;
+    int best = unbounded.front();
+    for (int k : unbounded)
+      if (w[k] > w[best]) best = k;
+    (*choice)[i] = best;
+    const std::size_t g = granules(items[i].bytes, granule);
+    bool candidate = false;
+    for (std::size_t j = 0; j < m; ++j) {
+      const double d = w[c.tier[j]] - w[best];
+      gain[j] = d > 0 && g <= c.cap[j] ? d : 0.0;
+      candidate |= gain[j] > 0;
+    }
+    if (!candidate) continue;
+    c.item.push_back(i);
+    c.g.push_back(g);
+    c.total_g += g;
+    c.gain.insert(c.gain.end(), gain.begin(), gain.end());
+  }
+  return c;
+}
+
+/// All-fit shortcut: every open tier can hold all candidates at once, so
+/// each takes its best tier.  Ties go to the unbounded tier (gain 0), then
+/// to the lower tier index.
+bool take_best_tiers_if_all_fit(const Candidates& c,
+                                std::vector<int>* choice) {
+  for (std::size_t cap : c.cap)
+    if (c.total_g > cap) return false;
+  const std::size_t m = c.tier.size();
+  for (std::size_t ci = 0; ci < c.item.size(); ++ci) {
+    double best = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (c.gain[ci * m + j] > best) {
+        best = c.gain[ci * m + j];
+        (*choice)[c.item[ci]] = c.tier[j];
+      }
+    }
+  }
+  return true;
+}
+
+/// Cells per DP row — prod(min(cap_j, total_g) + 1) — or 0 when the table
+/// (candidates x cells per row) would pass kDenseDpCellBudget.
+std::size_t dense_row_cells(const Candidates& c) {
+  constexpr std::size_t kBudget = KnapsackSolver::kDenseDpCellBudget;
+  std::size_t cells = 1;
+  for (std::size_t cap : c.cap) {
+    const std::size_t d = std::min(cap, c.total_g) + 1;
+    if (cells > kBudget / d) return 0;
+    cells *= d;
+  }
+  return cells <= kBudget / c.item.size() ? cells : 0;
+}
+
+/// Exact DP over the product of the open tiers' granule capacities.  One
+/// value array is updated in place in descending index order, so every read
+/// (always at a lower index) still holds the previous row.  Tier 0 is the
+/// contiguous inner dimension; in a block whose outer coordinates leave no
+/// other tier room for the item, the inner loop is the classic 0-1 row.
+/// Comparisons are strict, so ties keep the unbounded choice, then the lower
+/// tier; picks are one bit plane per open tier, replayed from the
+/// all-capacity cell.
+void dense_dp(const Candidates& c, std::size_t cells,
+              std::vector<int>* choice) {
+  const std::size_t n = c.item.size();
+  const std::size_t m = c.tier.size();
+  std::vector<std::size_t> dim(m);
+  std::vector<std::size_t> stride(m);
+  for (std::size_t j = 0, s = 1; j < m; s *= dim[j++]) {
+    dim[j] = std::min(c.cap[j], c.total_g) + 1;
+    stride[j] = s;
+  }
+  const std::size_t words = (n * cells + 63) / 64;
+  std::vector<std::uint64_t> picks(m * words, 0);
+  auto mark = [&](std::size_t j, std::size_t bit) {
+    picks[j * words + (bit >> 6)] |= std::uint64_t{1} << (bit & 63);
+  };
+  auto marked = [&](std::size_t j, std::size_t bit) {
+    return (picks[j * words + (bit >> 6)] >> (bit & 63)) & 1;
+  };
+  std::vector<double> best(cells, 0.0);
+  std::vector<std::size_t> outer(m);  // block coordinates on tiers 1..m-1
+
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t g = c.g[r];
+    const double* gain = &c.gain[r * m];
+    const std::size_t row = r * cells;
+    for (std::size_t j = 1; j < m; ++j) outer[j] = dim[j] - 1;
+    for (std::size_t base = cells; base > 0;) {
+      base -= dim[0];
+      bool others = false;
+      for (std::size_t j = 1; j < m; ++j)
+        others |= gain[j] > 0 && outer[j] >= g;
+      if (!others) {
+        if (gain[0] > 0) {
+          for (std::size_t c0 = dim[0]; c0-- > g;) {
+            const double with = best[base + c0 - g] + gain[0];
+            if (with > best[base + c0]) {
+              best[base + c0] = with;
+              mark(0, row + base + c0);
+            }
+          }
+        }
+      } else {
+        for (std::size_t c0 = dim[0]; c0-- > 0;) {
+          const std::size_t idx = base + c0;
+          double v = best[idx];
+          std::size_t pk = m;
+          for (std::size_t j = 0; j < m; ++j) {
+            if (gain[j] <= 0 || (j == 0 ? c0 : outer[j]) < g) continue;
+            const double with = best[idx - g * stride[j]] + gain[j];
+            if (with > v) {
+              v = with;
+              pk = j;
+            }
+          }
+          if (pk < m) {
+            best[idx] = v;
+            mark(pk, row + idx);
+          }
+        }
+      }
+      for (std::size_t j = 1; j < m; ++j) {  // odometer: the previous block
+        if (outer[j]-- > 0) break;
+        outer[j] = dim[j] - 1;
+      }
+    }
+  }
+
+  std::size_t idx = cells - 1;
+  for (std::size_t r = n; r-- > 0;) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (marked(j, r * cells + idx)) {
+        (*choice)[c.item[r]] = c.tier[j];
+        idx -= c.g[r] * stride[j];
+        break;
+      }
+    }
+  }
+}
+
+/// Bounded path: each open tier in index order packs the candidates still
+/// unassigned that it can take, greedily by gain density on the quantized
+/// sizes (the DP's capacity accounting), refined with the best single
+/// candidate — per tier the better of the two is a 1/2-approximation.
+void waterfall(const Candidates& c, std::vector<int>* choice) {
+  const std::size_t m = c.tier.size();
+  std::vector<char> assigned(c.item.size(), 0);
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> taken;
+  order.reserve(c.item.size());
+  taken.reserve(c.item.size());
+  for (std::size_t j = 0; j < m; ++j) {
+    auto gain = [&](std::size_t ci) { return c.gain[ci * m + j]; };
+    order.clear();
+    for (std::size_t ci = 0; ci < c.item.size(); ++ci)
+      if (!assigned[ci] && gain(ci) > 0) order.push_back(ci);
+    if (order.empty()) continue;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return gain(a) * static_cast<double>(c.g[b]) >
+             gain(b) * static_cast<double>(c.g[a]);
+    });
+    taken.clear();
+    std::size_t used = 0;
+    double total = 0;
+    std::size_t best_single = order[0];
+    for (std::size_t ci : order) {
+      if (gain(ci) > gain(best_single)) best_single = ci;
+      if (used + c.g[ci] > c.cap[j]) continue;
+      used += c.g[ci];
+      total += gain(ci);
+      taken.push_back(ci);
+    }
+    if (gain(best_single) > total) taken.assign(1, best_single);
+    for (std::size_t ci : taken) {
+      assigned[ci] = 1;
+      (*choice)[c.item[ci]] = c.tier[j];
+    }
+  }
+}
+
+void sum_weights(const std::vector<KnapsackItem>& items, KnapsackResult* out) {
+  for (std::size_t i = 0; i < items.size(); ++i)
+    out->total_weight += items[i].weights[out->choice[i]];
+}
 
 }  // namespace
 
-bool KnapsackSolver::prefilter(const std::vector<KnapsackItem>& items,
-                               std::size_t cap,
-                               std::vector<std::size_t>* cand,
-                               std::vector<std::size_t>* gsz,
-                               KnapsackResult* out) const {
-  // Candidates: positive weight, fits at all.  Track quantized sizes once.
-  std::size_t total_g = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].weight <= 0) continue;
-    const std::size_t g = granules(items[i].bytes, granule_);
-    if (g > cap) continue;
-    cand->push_back(i);
-    gsz->push_back(g);
-    total_g += g;
-  }
-  if (cand->empty()) return true;
-
-  // Pre-clamp: nothing above the candidates' total quantized size is
-  // reachable, and when everything fits there is nothing to optimize.
-  if (total_g <= cap) {
-    for (std::size_t i : *cand) {
-      out->selected.push_back(i);
-      out->total_weight += items[i].weight;
-      out->total_bytes += items[i].bytes;
-    }
-    std::sort(out->selected.begin(), out->selected.end());
-    return true;
-  }
-  return false;
-}
-
-KnapsackResult KnapsackSolver::solve(const std::vector<KnapsackItem>& items,
-                                     std::size_t capacity_bytes) const {
+KnapsackResult KnapsackSolver::solve(
+    const std::vector<KnapsackItem>& items,
+    const std::vector<std::size_t>& capacities) const {
   KnapsackResult out;
-  std::size_t cap = capacity_bytes / granule_;
-  if (cap == 0 || items.empty()) return out;
-
-  std::vector<std::size_t> cand;
-  std::vector<std::size_t> gsz;
-  if (prefilter(items, cap, &cand, &gsz, &out)) return out;
-
-  auto take = [&](std::size_t ci) {
-    out.selected.push_back(cand[ci]);
-    out.total_weight += items[cand[ci]].weight;
-    out.total_bytes += items[cand[ci]].bytes;
-  };
-
-  const std::size_t n = cand.size();
-  if (n * (cap + 1) > kDenseDpCellBudget)
-    return solve_bounded(items, cand, gsz, cap);
-
-  // Rolling 1-D DP over capacity; decisions go into a flat bit matrix
-  // (row per item) so the selection can be reconstructed without the 2-D
-  // value table.
-  const std::size_t stride = (cap + 1 + 63) / 64;
-  std::vector<double> best(cap + 1, 0.0);
-  std::vector<std::uint64_t> taken(n * stride, 0);
-  // Per-row capacity clamp: items 0..i cannot fill more than their summed
-  // granules hi[i], so cells above hi[i] are never materialized.  The
-  // invariant is that after row i, best[0..hi[i]] holds the exact optima;
-  // a read that would land above a row's clamp is answered by best[hi[i]]
-  // (the optimum is constant up there).
-  std::vector<std::size_t> hi(n);
-  std::size_t prev = 0;  // hi of the previous row
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t g = gsz[i];
-    const double w = items[cand[i]].weight;
-    hi[i] = std::min(cap, prev + g);
-    std::uint64_t* row = &taken[i * stride];
-    // Cells in (prev, hi[i]] were unreachable before this row: the
-    // not-take value is best[prev], and they must be materialized so later
-    // rows read correct carries.
-    const double keep = best[prev];
-    // Newly reachable cells the item itself cannot occupy (c < g) still
-    // carry the previous row's plateau value.
-    for (std::size_t c = std::min(hi[i], g - 1); c > prev; --c) best[c] = keep;
-    const std::size_t lo_upper = std::max(prev + 1, g);
-    for (std::size_t c = hi[i]; c >= lo_upper; --c) {
-      const double with = best[c - g] + w;
-      if (with > keep) {
-        best[c] = with;
-        row[c >> 6] |= std::uint64_t{1} << (c & 63);
-      } else {
-        best[c] = keep;
-      }
-      if (c == lo_upper) break;  // avoid size_t underflow
-    }
-    // Classic in-place sweep for the cells both rows can reach.
-    for (std::size_t c = std::min(prev, hi[i]); c >= g; --c) {
-      const double with = best[c - g] + w;
-      if (with > best[c]) {
-        best[c] = with;
-        row[c >> 6] |= std::uint64_t{1} << (c & 63);
-      }
-      if (c == g) break;  // avoid size_t underflow
-    }
-    prev = hi[i];
+  const Candidates c = prepare(items, capacities, granule_, &out.choice);
+  if (!c.item.empty() && !take_best_tiers_if_all_fit(c, &out.choice)) {
+    if (const std::size_t cells = dense_row_cells(c))
+      dense_dp(c, cells, &out.choice);
+    else
+      waterfall(c, &out.choice);
   }
-
-  // Reconstruct.
-  std::size_t c = cap;
-  for (std::size_t i = n; i-- > 0;) {
-    c = std::min(c, hi[i]);
-    if ((taken[i * stride + (c >> 6)] >> (c & 63)) & 1) {
-      take(i);
-      c -= gsz[i];
-    }
-  }
-  std::sort(out.selected.begin(), out.selected.end());
+  sum_weights(items, &out);
   return out;
-}
-
-KnapsackResult KnapsackSolver::solve_bounded(
-    const std::vector<KnapsackItem>& items, std::size_t capacity_bytes) const {
-  KnapsackResult out;
-  const std::size_t cap = capacity_bytes / granule_;
-  if (cap == 0 || items.empty()) return out;
-
-  std::vector<std::size_t> cand;
-  std::vector<std::size_t> gsz;
-  if (prefilter(items, cap, &cand, &gsz, &out)) return out;
-  return solve_bounded(items, cand, gsz, cap);
 }
 
 KnapsackResult KnapsackSolver::solve_bounded(
     const std::vector<KnapsackItem>& items,
-    const std::vector<std::size_t>& cand, const std::vector<std::size_t>& gsz,
-    std::size_t cap) const {
-  // Density greedy on the quantized sizes (so the capacity accounting is
-  // identical to the DP's), refined with the best single candidate: the
-  // better of the two is a 1/2-approximation of the DP optimum.
-  std::vector<std::size_t> order(cand.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return items[cand[a]].weight * static_cast<double>(gsz[b]) >
-           items[cand[b]].weight * static_cast<double>(gsz[a]);
-  });
-
-  KnapsackResult out;
-  std::size_t used = 0;
-  std::size_t best_single = order[0];
-  for (std::size_t ci : order) {
-    if (items[cand[ci]].weight > items[cand[best_single]].weight)
-      best_single = ci;
-    if (used + gsz[ci] > cap) continue;
-    used += gsz[ci];
-    out.selected.push_back(cand[ci]);
-    out.total_weight += items[cand[ci]].weight;
-    out.total_bytes += items[cand[ci]].bytes;
-  }
-  if (items[cand[best_single]].weight > out.total_weight) {
-    out = KnapsackResult{};
-    out.selected.push_back(cand[best_single]);
-    out.total_weight = items[cand[best_single]].weight;
-    out.total_bytes = items[cand[best_single]].bytes;
-  }
-  std::sort(out.selected.begin(), out.selected.end());
-  return out;
-}
-
-MckpResult KnapsackSolver::solve_mckp(
-    const std::vector<MckpItem>& items,
     const std::vector<std::size_t>& capacities) const {
-  const std::size_t K = capacities.size();
-  if (K == 0)
-    throw std::invalid_argument("solve_mckp: empty capacity vector");
-  std::vector<int> unbounded;
-  std::vector<int> constrained;
-  for (std::size_t k = 0; k < K; ++k) {
-    if (capacities[k] == kUnbounded)
-      unbounded.push_back(static_cast<int>(k));
-    else
-      constrained.push_back(static_cast<int>(k));
-  }
-  if (unbounded.empty())
-    throw std::invalid_argument(
-        "solve_mckp: at least one tier must be kUnbounded (the backstop)");
-  for (const MckpItem& it : items)
-    if (it.weights.size() != K)
-      throw std::invalid_argument(
-          "solve_mckp: item weight arity != tier count");
-
-  MckpResult out;
-  const std::size_t n = items.size();
-  out.choice.assign(n, 0);
-
-  // Baseline: every item takes its best unbounded tier (any other
-  // unbounded choice is dominated, so the DP never needs to consider it).
-  std::vector<int> best_u(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    int best = unbounded.front();
-    for (int k : unbounded)
-      if (items[i].weights[k] > items[i].weights[best]) best = k;
-    best_u[i] = best;
-    out.choice[i] = best;
-  }
-
-  auto finish = [&] {
-    out.total_weight = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      out.total_weight += items[i].weights[out.choice[i]];
-    return out;
-  };
-  if (constrained.empty() || n == 0) return finish();
-
-  // Quantize once; the per-dimension caps are pre-clamped to the total
-  // quantized size exactly like the 0-1 path's capacity pre-clamp.
-  std::vector<std::size_t> gsz(n);
-  std::size_t total_g = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    gsz[i] = granules(items[i].bytes, granule_);
-    total_g += gsz[i];
-  }
-  const std::size_t m = constrained.size();
-  std::vector<std::size_t> cap(m);
-  for (std::size_t j = 0; j < m; ++j)
-    cap[j] = std::min(capacities[constrained[j]] / granule_, total_g);
-
-  // Dense-DP budget: n x prod(cap_j + 1) cells, overflow-safely.
-  bool dense = true;
-  std::size_t P = 1;
-  for (std::size_t j = 0; j < m && dense; ++j) {
-    if (P > kDenseDpCellBudget / (cap[j] + 1)) dense = false;
-    else P *= cap[j] + 1;
-  }
-  if (dense && P > kDenseDpCellBudget / n) dense = false;
-
-  if (!dense) {
-    // Waterfall fallback: fill constrained tiers in index order through the
-    // bounded 0-1 path, each pass scoring still-unassigned items by their
-    // marginal weight over their best unbounded choice.
-    std::vector<char> assigned(n, 0);
-    for (std::size_t j = 0; j < m; ++j) {
-      const int tier = constrained[j];
-      std::vector<KnapsackItem> sub;
-      std::vector<std::size_t> map;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (assigned[i]) continue;
-        sub.push_back(KnapsackItem{
-            items[i].weights[tier] - items[i].weights[best_u[i]],
-            items[i].bytes});
-        map.push_back(i);
-      }
-      const KnapsackResult r = solve_bounded(sub, capacities[tier]);
-      for (std::size_t s : r.selected) {
-        out.choice[map[s]] = tier;
-        assigned[map[s]] = 1;
-      }
-    }
-    return finish();
-  }
-
-  // Exact multi-dimensional DP: two rolling value arrays over the
-  // flattened product of constrained-tier granule capacities, plus a
-  // per-item pick table for reconstruction (-1 = best unbounded choice,
-  // j = constrained dimension j).
-  std::vector<std::size_t> stride(m, 1);
-  for (std::size_t j = 1; j < m; ++j) stride[j] = stride[j - 1] * (cap[j - 1] + 1);
-
-  std::vector<double> prev(P, 0.0);
-  std::vector<double> next(P, 0.0);
-  std::vector<std::int8_t> pick(n * P, -1);
-  std::vector<std::size_t> coord(m, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double wu = items[i].weights[best_u[i]];
-    std::fill(coord.begin(), coord.end(), 0);
-    for (std::size_t idx = 0; idx < P; ++idx) {
-      double best = prev[idx] + wu;
-      std::int8_t pk = -1;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (coord[j] < gsz[i]) continue;
-        const double v = prev[idx - gsz[i] * stride[j]] +
-                         items[i].weights[constrained[j]];
-        if (v > best) {
-          best = v;
-          pk = static_cast<std::int8_t>(j);
-        }
-      }
-      next[idx] = best;
-      pick[i * P + idx] = pk;
-      for (std::size_t j = 0; j < m; ++j) {  // odometer increment
-        if (++coord[j] <= cap[j]) break;
-        coord[j] = 0;
-      }
-    }
-    prev.swap(next);
-  }
-
-  // Reconstruct from the full-capacity cell (mixed-radix index P - 1).
-  std::size_t idx = P - 1;
-  for (std::size_t i = n; i-- > 0;) {
-    const std::int8_t pk = pick[i * P + idx];
-    if (pk >= 0) {
-      out.choice[i] = constrained[pk];
-      idx -= gsz[i] * stride[pk];
-    }
-  }
-  return finish();
+  KnapsackResult out;
+  waterfall(prepare(items, capacities, granule_, &out.choice), &out.choice);
+  sum_weights(items, &out);
+  return out;
 }
 
 }  // namespace unimem::rt

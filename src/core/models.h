@@ -107,7 +107,7 @@ class PerformanceModel {
   // Eqs. 2/3 for an arbitrary (fast, slow) tier pair: the benefit of
   // residence in `fast` relative to `slow`.  With (fast, slow) = the
   // model's own (DRAM, NVM) pair these are the identical floating-point
-  // expressions as the members above — the MCKP planner scores every tier
+  // expressions as the members above — the N-tier planner scores every tier
   // against the backstop through them.
 
   double benefit_bandwidth_between(const UnitPhaseProfile& u,

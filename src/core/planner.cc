@@ -265,13 +265,15 @@ Plan Planner::plan_local(const Profiler& prof,
       benefits.push_back(benefit);
       costs.push_back(cost);
       triggers.push_back(trigger);
-      items.push_back(KnapsackItem{benefit - cost, bytes});
+      items.push_back(KnapsackItem{{benefit - cost, 0.0}, bytes});
     }
 
     KnapsackSolver solver;
-    KnapsackResult sel = solver.solve(items, opts_.dram_budget);
+    const KnapsackResult sel = solver.solve(
+        items, {opts_.dram_budget, KnapsackSolver::kUnbounded});
     std::set<std::size_t> selected;
-    for (std::size_t idx : sel.selected) selected.insert(refs[idx]);
+    for (std::size_t i = 0; i < refs.size(); ++i)
+      if (sel.choice[i] == 0) selected.insert(refs[i]);
 
     // Evictions: non-selected residents leave when space is needed,
     // preferring victims not referenced in this phase; they are enqueued at
@@ -371,13 +373,15 @@ Plan Planner::plan_global(const Profiler& prof,
                       ? 0.0
                       : static_cast<double>(groups[g].bytes) / copy_in_bw;
     refs.push_back(g);
-    items.push_back(KnapsackItem{b - cost, groups[g].bytes});
+    items.push_back(KnapsackItem{{b - cost, 0.0}, groups[g].bytes});
   }
 
   KnapsackSolver solver;
-  KnapsackResult sel = solver.solve(items, opts_.dram_budget);
+  const KnapsackResult sel =
+      solver.solve(items, {opts_.dram_budget, KnapsackSolver::kUnbounded});
   std::set<std::size_t> selected;
-  for (std::size_t idx : sel.selected) selected.insert(refs[idx]);
+  for (std::size_t i = 0; i < refs.size(); ++i)
+    if (sel.choice[i] == 0) selected.insert(refs[i]);
 
   double predicted = no_move_time(prof);
   // Make room first: evict residents that were not selected (enqueued at
@@ -467,14 +471,14 @@ Plan Planner::plan_tiered(const Profiler& prof,
     return t;
   };
 
-  // MCKP items: every referenced group chooses a tier; each weight nets the
+  // Items: every referenced group chooses a tier; each weight nets the
   // one-time fill copy out of the benefit (charged once, exactly the global
   // search's accounting), and staying put is free.
   std::vector<std::size_t> refs;
-  std::vector<MckpItem> items;
+  std::vector<KnapsackItem> items;
   for (const auto& [g, ben] : benefit) {
     const int cur = group_tier(groups[g]);
-    MckpItem item;
+    KnapsackItem item;
     item.bytes = groups[g].bytes;
     item.weights.assign(T, 0.0);
     for (std::size_t k = 0; k < T; ++k) {
@@ -494,7 +498,7 @@ Plan Planner::plan_tiered(const Profiler& prof,
   caps[T - 1] = KnapsackSolver::kUnbounded;  // the backstop absorbs the rest
 
   KnapsackSolver solver;
-  const MckpResult sel = solver.solve_mckp(items, caps);
+  const KnapsackResult sel = solver.solve(items, caps);
 
   auto first_ref = [&](std::size_t g) {
     for (std::size_t p = 0; p < P; ++p)

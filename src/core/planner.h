@@ -4,21 +4,23 @@
 //     w = BFT - COST - extra_COST            (Eq. 5)
 // where BFT is the Eq. 2/3 benefit, COST the Eq. 4 migration cost net of
 // the overlap window (time between the unit's previous reference and the
-// phase), and extra_COST the eviction traffic needed to make room.  A 0-1
-// knapsack over the DRAM capacity picks the resident set.
+// phase), and extra_COST the eviction traffic needed to make room.  The
+// placement solver (knapsack.h) picks the resident set; on a 2-tier machine
+// that is the paper's 0-1 knapsack, weights {w, 0.0} over capacities
+// {DRAM budget, unbounded NVM}.
 //
 // Two searches are run and the predicted-faster plan is used:
-//   * phase-local search  — one knapsack per phase, migrations between
+//   * phase-local search  — one solve per phase, migrations between
 //     phases, triggers placed right after the unit's previous reference so
 //     the helper thread can overlap the copy;
-//   * cross-phase global search — one knapsack over aggregated benefits,
+//   * cross-phase global search — one solve over aggregated benefits,
 //     a single placement for the whole iteration, no intra-iteration moves.
 //
-// On an N-tier machine (PlannerOptions::tier_budgets non-empty) the search
-// becomes multiple-choice: every group picks *a* tier, scored against the
-// backstop through the pairwise Eq. 2/3 forms, and the MCKP solver packs
-// the constrained tiers jointly (knapsack.h).  The 2-tier path never sets
-// tier_budgets, keeping the classic searches byte-identical.
+// On an N-tier machine (PlannerOptions::tier_budgets non-empty) every group
+// picks *a* tier, scored against the backstop through the pairwise Eq. 2/3
+// forms, and the same solver packs the constrained tiers jointly.  The
+// 2-tier path never sets tier_budgets, keeping the classic searches
+// byte-identical.
 #pragma once
 
 #include <set>
@@ -128,7 +130,7 @@ class Planner {
                   const GroupProfiles& gp) const;
   Plan plan_global(const Profiler& prof, const std::vector<Group>& groups,
                    const GroupProfiles& gp) const;
-  /// N-tier placement (tier_budgets set): one MCKP over the aggregated
+  /// N-tier placement (tier_budgets set): one solve over the aggregated
   /// per-(group, tier) benefits, every referenced group choosing a tier;
   /// demotions enqueue before promotions in the phase-0 FIFO batch.
   Plan plan_tiered(const Profiler& prof, const std::vector<Group>& groups,

@@ -88,14 +88,16 @@ Plan ReplanController::repair(const Profiler& prof,
                             ? 0.0
                             : static_cast<double>(bytes) / copy_in_bw;
     cand.push_back(u);
-    items.push_back(KnapsackItem{w - cost, bytes});
+    items.push_back(KnapsackItem{{w - cost, 0.0}, bytes});
   }
 
   // Bounded re-score over the affected capacity slice only: O(|drifted|)
   // work instead of the full items x capacity DP.
-  KnapsackResult sel = solver_.solve_bounded(items, slice);
+  const KnapsackResult sel =
+      solver_.solve_bounded(items, {slice, KnapsackSolver::kUnbounded});
   std::set<UnitRef> chosen;
-  for (std::size_t idx : sel.selected) chosen.insert(cand[idx]);
+  for (std::size_t i = 0; i < cand.size(); ++i)
+    if (sel.choice[i] == 0) chosen.insert(cand[i]);
 
   Plan plan;
   plan.kind = Plan::Kind::kIncremental;

@@ -16,9 +16,10 @@
 //   * a small fraction drifted   -> repair the plan incrementally:
 //       keep every non-drifted resident where it is (warm start), free
 //       the bytes held by drifted residents, and re-score only the
-//       drifted/displaced units with a bounded knapsack over that
-//       capacity slice (KnapsackSolver::solve_bounded) — O(drifted)
-//       instead of O(all items x full capacity);
+//       drifted/displaced units over that capacity slice with the
+//       solver's bounded path (KnapsackSolver::solve_bounded with
+//       capacities {slice, kUnbounded}) — O(drifted) instead of
+//       O(all items x full capacity);
 //   * too many drifted           -> fall back to the full DP re-solve.
 //
 // Contract (property-tested): the repaired plan's predicted iteration

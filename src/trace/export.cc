@@ -82,6 +82,11 @@ bool get_f64(std::FILE* f, double* v) {
 constexpr char kMagic[8] = {'U', 'N', 'I', 'M', 'T', 'R', 'C', '1'};
 // Defensive parse bounds: a spill this size would be hundreds of GiB.
 constexpr std::uint32_t kMaxTableEntries = 1u << 26;
+// Smallest encodings: a string is at least its u32 length, a track its
+// length and sort hint, an event exactly this many bytes.
+constexpr std::uint64_t kMinStringBytes = 4;
+constexpr std::uint64_t kMinTrackBytes = 8;
+constexpr std::uint64_t kEventBytes = 4 * 4 + 8 * 4 + 4 + 1;
 
 struct FileCloser {
   std::FILE* f;
@@ -273,6 +278,18 @@ bool read_binary(const std::string& path, TraceData* out) {
   if (f == nullptr) return false;
   FileCloser closer{f};
 
+  // Every table count is checked against the bytes the file has left, and
+  // every string length against the bytes left at its table, before
+  // anything is sized from it: a corrupt spill costs O(file size) memory.
+  if (std::fseek(f, 0, SEEK_END) != 0) return false;
+  const long size = std::ftell(f);
+  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) return false;
+  auto left = [&]() -> std::uint64_t {
+    const long pos = std::ftell(f);
+    return pos >= 0 && pos <= size ? static_cast<std::uint64_t>(size - pos)
+                                   : 0;
+  };
+
   char magic[8];
   if (std::fread(magic, 1, sizeof magic, f) != sizeof magic ||
       std::memcmp(magic, kMagic, sizeof kMagic) != 0)
@@ -285,22 +302,28 @@ bool read_binary(const std::string& path, TraceData* out) {
   if (!get_u64(f, &data.dropped)) return false;
 
   std::uint32_t nstr = 0;
-  if (!get_u32(f, &nstr) || nstr == 0 || nstr > kMaxTableEntries) return false;
+  if (!get_u32(f, &nstr) || nstr == 0 || nstr > kMaxTableEntries)
+    return false;
+  std::uint64_t rest = left();
+  if (nstr > rest / kMinStringBytes) return false;
   data.strings.reserve(nstr);
   for (std::uint32_t i = 0; i < nstr; ++i) {
     std::uint32_t len = 0;
-    if (!get_u32(f, &len) || len > kMaxTableEntries) return false;
+    if (!get_u32(f, &len) || len > rest) return false;
     std::string s(len, '\0');
     if (len != 0 && std::fread(s.data(), 1, len, f) != len) return false;
     data.strings.push_back(std::move(s));
   }
 
   std::uint32_t ntrk = 0;
-  if (!get_u32(f, &ntrk) || ntrk == 0 || ntrk > kMaxTableEntries) return false;
+  if (!get_u32(f, &ntrk) || ntrk == 0 || ntrk > kMaxTableEntries)
+    return false;
+  rest = left();
+  if (ntrk > rest / kMinTrackBytes) return false;
   data.tracks.reserve(ntrk);
   for (std::uint32_t i = 0; i < ntrk; ++i) {
     std::uint32_t len = 0;
-    if (!get_u32(f, &len) || len > kMaxTableEntries) return false;
+    if (!get_u32(f, &len) || len > rest) return false;
     TraceTrack t;
     t.name.resize(len);
     if (len != 0 && std::fread(t.name.data(), 1, len, f) != len) return false;
@@ -311,9 +334,8 @@ bool read_binary(const std::string& path, TraceData* out) {
   }
 
   std::uint64_t nev = 0;
-  if (!get_u64(f, &nev)) return false;
-  data.events.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(nev, kMaxTableEntries)));
+  if (!get_u64(f, &nev) || nev > left() / kEventBytes) return false;
+  data.events.reserve(static_cast<std::size_t>(nev));
   for (std::uint64_t i = 0; i < nev; ++i) {
     TraceEventRow e;
     if (!get_u32(f, &e.cat) || !get_u32(f, &e.name) ||

@@ -85,8 +85,9 @@ bool write_chrome_json(const TraceData& data, const std::string& path);
 /// Compact binary spill; returns false on I/O error.
 bool write_binary(const TraceData& data, const std::string& path);
 
-/// Parse a binary spill.  Returns false (and leaves *out unspecified) on
-/// read or format error.
+/// Parse a binary spill file (it must be seekable).  Returns false (and
+/// leaves *out unspecified) on read or format error, including any table
+/// count or string length that claims more bytes than the file holds.
 bool read_binary(const std::string& path, TraceData* out);
 
 /// Per-category/name rollup used by `unimem_trace --summary`: span pairs

@@ -304,14 +304,16 @@ TEST_F(ReplanTest, PropertyRepairedPlanNeverWorseThanStaleAndFitsBudget) {
 TEST_F(ReplanTest, SolveBoundedPublicEntryAgreesWithSolveOnEasyInstances) {
   // All-fit and filtering behavior match the exact entry point, so the
   // repair path cannot select a non-fitting or worthless item.
-  std::vector<KnapsackItem> items{{1.0, kMiB},
-                                  {-0.5, kMiB},        // never selected
-                                  {2.0, 10 * kMiB},    // larger than capacity
-                                  {0.5, 2 * kMiB}};
+  std::vector<KnapsackItem> items{
+      {{1.0, 0.0}, kMiB},
+      {{-0.5, 0.0}, kMiB},      // never selected
+      {{2.0, 0.0}, 10 * kMiB},  // larger than capacity
+      {{0.5, 0.0}, 2 * kMiB}};
+  const std::vector<std::size_t> caps{4 * kMiB, KnapsackSolver::kUnbounded};
   KnapsackSolver s;
-  KnapsackResult exact = s.solve(items, 4 * kMiB);
-  KnapsackResult bounded = s.solve_bounded(items, 4 * kMiB);
-  EXPECT_EQ(exact.selected, bounded.selected);
+  KnapsackResult exact = s.solve(items, caps);
+  KnapsackResult bounded = s.solve_bounded(items, caps);
+  EXPECT_EQ(exact.choice, bounded.choice);
   EXPECT_DOUBLE_EQ(exact.total_weight, bounded.total_weight);
 
   // Oversubscribed: the bounded answer is at least half the DP optimum
@@ -319,10 +321,12 @@ TEST_F(ReplanTest, SolveBoundedPublicEntryAgreesWithSolveOnEasyInstances) {
   Rng rng(7);
   std::vector<KnapsackItem> big;
   for (int i = 0; i < 64; ++i)
-    big.push_back(KnapsackItem{rng.uniform(0.1, 1.0),
+    big.push_back(KnapsackItem{{rng.uniform(0.1, 1.0), 0.0},
                                (1 + rng.below(32)) * (kMiB / 8)});
-  KnapsackResult opt = s.solve(big, 8 * kMiB);
-  KnapsackResult approx = s.solve_bounded(big, 8 * kMiB);
+  const std::vector<std::size_t> big_caps{8 * kMiB,
+                                          KnapsackSolver::kUnbounded};
+  KnapsackResult opt = s.solve(big, big_caps);
+  KnapsackResult approx = s.solve_bounded(big, big_caps);
   EXPECT_GE(approx.total_weight, 0.5 * opt.total_weight);
   EXPECT_LE(approx.total_weight, opt.total_weight + 1e-12);
 }

@@ -2,25 +2,74 @@
 // drop accounting), recorder lifecycle (start/stop/restart generations,
 // lazy thread registration, concurrent emit vs drain — the case TSan digs
 // into), exporter round-trips (binary spill, Chrome JSON structure and
-// escaping, shard merging with wall-clock alignment), the span summary
-// rollup, the metrics registry, and an end-to-end run_once() recording
+// escaping, shard merging with wall-clock alignment), a seeded mutation
+// fuzz of the binary reader, the span summary rollup, the metrics
+// registry, and an end-to-end run_once() recording
 // that asserts the runtime actually emits phase spans in virtual time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "experiments/runner.h"
 #include "trace/export.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
+
+// ---- allocation probe -------------------------------------------------------
+// The UNIMTRC1 mutation fuzz asserts that no mutant makes the reader or the
+// exporters allocate in proportion to a count the file merely claims: while
+// the probe is armed, the largest single operator-new request is recorded.
+// Every replaceable non-aligned new/delete pair is routed through malloc/free
+// so the sanitizers still see matched allocations.
+namespace {
+
+std::atomic<bool> g_probe_armed{false};
+std::atomic<std::size_t> g_probe_max{0};
+
+void* probed_alloc(std::size_t n) {
+  if (g_probe_armed.load(std::memory_order_relaxed)) {
+    std::size_t prev = g_probe_max.load(std::memory_order_relaxed);
+    while (n > prev && !g_probe_max.compare_exchange_weak(prev, n)) {
+    }
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* probed_alloc_or_throw(std::size_t n) {
+  if (void* p = probed_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return probed_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return probed_alloc_or_throw(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return probed_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return probed_alloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace unimem::trace {
 namespace {
@@ -254,6 +303,125 @@ TEST(TraceExport, ReadBinaryRejectsGarbage) {
   EXPECT_FALSE(read_binary(path, &r));
   EXPECT_FALSE(read_binary(path + ".does-not-exist", &r));
   std::remove(path.c_str());
+}
+
+// Mutation fuzz over a real recording's UNIMTRC1 spill: bit flips,
+// truncations, splices, and huge string / track / event counts and string
+// lengths.  Every mutant must either be rejected by read_binary or parse
+// into a TraceData that merge_into, summarize and write_chrome_json handle
+// — no crash or UB (the ASan/UBSan stage runs this), and no allocation
+// larger than a small multiple of the mutant's size.
+TEST(TraceExport, BinaryMutationFuzzRejectsOrParsesSafely) {
+  auto& rec = TraceRecorder::instance();
+  rec.start();
+  set_thread_track("fuzz-main", 2);
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    UNIMEM_TRACE_BEGIN2("runtime", "phase", 0.5 * static_cast<double>(i),
+                        "iter", i, "phase", i % 3);
+    UNIMEM_TRACE_INSTANT1("planner", "solve", -1.0, "items", 10 * i);
+    UNIMEM_TRACE_END("runtime", "phase", 0.5 * static_cast<double>(i) + 0.25);
+  }
+  std::thread([] {
+    set_thread_track("fuzz-helper", 5);
+    UNIMEM_TRACE_BEGIN1("migration", "copy", 1.0, "bytes", 4096);
+    UNIMEM_TRACE_END("migration", "copy", 1.5);
+  }).join();
+  const TraceData recorded = rec.stop();
+  ASSERT_GE(recorded.events.size(), 20u);
+
+  const std::string seed_path = testing::TempDir() + "/trace_fuzz_seed.trace";
+  ASSERT_TRUE(write_binary(recorded, seed_path));
+  const std::string seed = slurp(seed_path);
+  std::remove(seed_path.c_str());
+
+  // Offsets of the count fields: magic, epoch, dropped, string table
+  // (u32 count, then u32 length + bytes each), track table (u32 count,
+  // then u32 length + bytes + u32 hint each), u64 event count.
+  const std::size_t str_count_at = 8 + 8 + 8;
+  std::size_t at = str_count_at + 4;
+  const std::size_t first_len_at = at;
+  for (const std::string& str : recorded.strings) at += 4 + str.size();
+  const std::size_t trk_count_at = at;
+  at += 4;
+  for (const TraceTrack& t : recorded.tracks) at += 4 + t.name.size() + 4;
+  const std::size_t ev_count_at = at;
+  ASSERT_EQ(ev_count_at + 8 + 53 * recorded.events.size(), seed.size());
+
+  auto poke = [](std::string* b, std::size_t off, std::uint64_t v,
+                 int width) {
+    for (int i = 0; i < width && off + i < b->size(); ++i)
+      (*b)[off + i] = static_cast<char>(v >> (8 * i));
+  };
+  const std::uint64_t huge[] = {0xffffffffull, 1ull << 26, (1ull << 26) + 1,
+                                1ull << 31, 0xffffffffffffffffull,
+                                1ull << 40};
+
+  Rng rng(20240607);
+  const std::string path = testing::TempDir() + "/trace_fuzz_mutant.trace";
+  const std::string json = testing::TempDir() + "/trace_fuzz_mutant.json";
+  std::size_t accepted = 0;
+  constexpr int kMutants = 1500;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string b = seed;
+    const int rounds = 1 + static_cast<int>(rng.below(3));
+    for (int r = 0; r < rounds && !b.empty(); ++r) {
+      switch (rng.below(5)) {
+        case 0:  // bit flips
+          for (int k = 1 + static_cast<int>(rng.below(8)); k > 0; --k)
+            b[rng.below(b.size())] ^= static_cast<char>(1u << rng.below(8));
+          break;
+        case 1:  // truncation
+          b.resize(rng.below(b.size()));
+          break;
+        case 2: {  // splice: a chunk of the seed over a random offset
+          const std::size_t from = rng.below(seed.size());
+          const std::size_t len = 1 + rng.below(seed.size() - from);
+          const std::size_t to = rng.below(b.size());
+          b = b.substr(0, to) + seed.substr(from, len) +
+              (rng.below(2) == 0 ? b.substr(std::min(b.size(), to + len))
+                                 : b.substr(to));
+          break;
+        }
+        case 3: {  // huge table count
+          const std::uint64_t v = huge[rng.below(std::size(huge))];
+          switch (rng.below(3)) {
+            case 0: poke(&b, str_count_at, v, 4); break;
+            case 1: poke(&b, trk_count_at, v, 4); break;
+            default: poke(&b, ev_count_at, v, 8); break;
+          }
+          break;
+        }
+        default:  // huge first string length
+          poke(&b, first_len_at, huge[rng.below(std::size(huge))], 4);
+          break;
+      }
+    }
+    { std::ofstream(path, std::ios::binary) << b; }
+
+    g_probe_max.store(0);
+    g_probe_armed.store(true);
+    TraceData d;
+    const bool ok = read_binary(path, &d);
+    if (ok) {
+      ++accepted;
+      TraceData merged = recorded;
+      merge_into(&merged, d, "mutant/");
+      (void)summarize(d);
+      (void)summarize(merged);
+      EXPECT_TRUE(write_chrome_json(d, json)) << "mutant " << m;
+    }
+    g_probe_armed.store(false);
+    // Legit allocations scale with the data actually parsed (event rows,
+    // string copies, escaped JSON); recorded's own tables add a constant.
+    EXPECT_LE(g_probe_max.load(), 16 * b.size() + 64 * seed.size())
+        << "mutant " << m << (ok ? " (accepted)" : " (rejected)");
+  }
+  // Flips that land in payload bytes still parse: the fuzz must have
+  // exercised the exporters, not only the reject path.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, static_cast<std::size_t>(kMutants));
+  std::remove(path.c_str());
+  std::remove(json.c_str());
 }
 
 TEST(TraceExport, ChromeJsonCarriesBothClocksAndEscapes) {
