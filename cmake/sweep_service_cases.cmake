@@ -1,6 +1,7 @@
 # CLI contract tests for the sweep service layer: strict option parsing
-# (--profiler/--jobs/--indices reject junk and overflow instead of
-# silently truncating), the --merge coverage/gap heuristics, duplicate
+# (--profiler/--jobs/--indices/--shard reject junk, repeats and overflow
+# instead of silently truncating), verbatim flag forwarding through the
+# cmd launcher, the --merge coverage/gap heuristics, duplicate
 # shard rejection, torn-last-line --resume, injected-failure recovery
 # through the coordinator with retry counters in the summary JSON, the
 # --shards N = --launcher fork --workers N alias, and the summary
@@ -80,6 +81,19 @@ cli_expect(1 "indices trailing garbage"
 cli_expect(1 "indices out of range"
            "${SWEEP_CLI}" --spec ${SPEC} --indices 0,99 --points)
 expect_contains("${last_stderr}" "does not contain" "indices out of range")
+# A repeated index would run the point twice and write an artifact that
+# --merge then rejects as a duplicate.
+cli_expect(1 "indices repeated"
+           "${SWEEP_CLI}" --spec ${SPEC} --indices 0,0 --points)
+expect_contains("${last_stderr}" "repeats index 0" "indices repeated")
+
+# --shard I/N parses both sides strictly: no leading space or '+', no
+# 32-bit wrap of either side.
+foreach(bad " 0/2" "+0/2" "0/ 2" "0/4294967298" "4294967296/2")
+  cli_expect(1 "shard '${bad}'"
+             "${SWEEP_CLI}" --spec ${SPEC} --shard "${bad}" --points)
+  expect_contains("${last_stderr}" "--shard wants" "shard '${bad}'")
+endforeach()
 
 cli_expect(1 "unknown launcher"
            "${SWEEP_CLI}" --spec ${SPEC} --launcher bogus --points)
@@ -157,6 +171,27 @@ expect_not_contains("${summary}" "\"retries\":0," "service recovery summary")
 expect_same("${WORK_DIR}/j1.csv" "${WORK_DIR}/svc.csv" "service recovery csv")
 expect_same("${WORK_DIR}/j1.jsonl" "${WORK_DIR}/svc.jsonl"
             "service recovery jsonl")
+
+# The cmd launcher forwards the flags the user typed verbatim: a PREFIX
+# script logs each child's argv, which must carry "1e-7" and "0.1234567:9"
+# as typed (printing the parsed doubles back would round them), and the
+# artifacts must still match the --jobs 1 run.
+file(WRITE "${WORK_DIR}/argv_log.sh"
+     "#!/bin/sh\nprintf '%s\\n' \"$*\" >> '${WORK_DIR}/argv.log'\nexec \"$@\"\n")
+file(CHMOD "${WORK_DIR}/argv_log.sh" PERMISSIONS OWNER_READ OWNER_WRITE
+     OWNER_EXECUTE)
+cli_expect(0 "cmd forwards raw flags"
+           "${SWEEP_CLI}" --spec ${SPEC} --launcher "cmd:${WORK_DIR}/argv_log.sh"
+           --workers 2 --retries 3 --backoff-base 1e-7
+           --inject-fail 0.1234567:9 --quiet
+           --csv "${WORK_DIR}/cmd.csv" --jsonl "${WORK_DIR}/cmd.jsonl")
+file(READ "${WORK_DIR}/argv.log" argv_log)
+expect_contains("${argv_log}" "--backoff-base 1e-7 " "cmd forwards raw flags")
+expect_contains("${argv_log}" "--inject-fail 0.1234567:9 "
+                "cmd forwards raw flags")
+expect_same("${WORK_DIR}/j1.csv" "${WORK_DIR}/cmd.csv" "cmd forwarding csv")
+expect_same("${WORK_DIR}/j1.jsonl" "${WORK_DIR}/cmd.jsonl"
+            "cmd forwarding jsonl")
 
 # The 10k-point stress spec is registered and sized as documented.
 cli_expect(0 "stress spec listed" "${SWEEP_CLI}" --list)

@@ -77,11 +77,14 @@ stage_release() {
 }
 
 stage_asan() {
-  echo "== [asan] asan+ubsan configure + build + tier-1 =="
+  echo "== [asan] asan+ubsan configure + build + tier-1 + sweep service =="
   cmake -B build-asan -S . -DUNIMEM_SANITIZE=address,undefined \
         -DCMAKE_BUILD_TYPE=Debug
   cmake --build build-asan -j "$JOBS"
   ctest --test-dir build-asan -L tier1 --output-on-failure -j "$JOBS"
+  # The CLI end to end: every option-table setter, the cross-flag rules,
+  # the cmd launcher's forwarded argv and the summary writer.
+  ctest --test-dir build-asan -L sweep-service --output-on-failure -j "$JOBS"
 }
 
 stage_tsan() {

@@ -1,9 +1,10 @@
 #include "core/phase_dag.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 #include <string>
 
+#include "common/cli.h"
 #include "trace/export.h"
 
 namespace unimem::rt {
@@ -169,20 +170,23 @@ PhaseDag PhaseDag::from_trace(const trace::TraceData& data) {
   }
 
   // Track -> rank: parse "rank N" names (merged shards carry prefixes like
-  // "task-3/rank 0"); unnamed tracks sort after the named ones.  Rows are
-  // densely renumbered in (parsed rank, track) order — the barrier edges
-  // only need phase indices aligned across rows, not original rank ids.
-  std::vector<std::pair<std::pair<int, std::uint32_t>, const std::vector<Span>*>>
+  // "task-3/rank 0"); other names are unnamed and sort after the named
+  // ones.  Rows are densely renumbered in (parsed rank, track) order — the
+  // barrier edges only need phase indices aligned across rows, not
+  // original rank ids.
+  std::vector<
+      std::pair<std::pair<long long, std::uint32_t>, const std::vector<Span>*>>
       rows;
   for (const auto& [track, seq] : spans) {
-    int rank = -1;
+    long long rank = LLONG_MAX;  // unnamed
     if (track < data.tracks.size()) {
       const std::string& name = data.tracks[track].name;
       const std::size_t pos = name.rfind("rank ");
-      if (pos != std::string::npos)
-        rank = std::atoi(name.c_str() + pos + 5);
+      long long parsed = 0;
+      if (pos != std::string::npos && (pos == 0 || name[pos - 1] == '/') &&
+          cli::parse_i64(name.c_str() + pos + 5, 0, INT_MAX, &parsed))
+        rank = parsed;
     }
-    if (rank < 0) rank = static_cast<int>(spans.size()) + static_cast<int>(track);
     rows.push_back({{rank, track}, &seq});
   }
   std::sort(rows.begin(), rows.end(),

@@ -101,8 +101,9 @@ class PhaseDag {
                                const std::vector<std::vector<char>>& kinds);
 
   /// Build from a drained trace: per-track "runtime/phase" B/E spans in
-  /// virtual time become that track's phase sequence (rank parsed from
-  /// the "rank N" track name, falling back to track order); is_comm reads
+  /// virtual time become that track's phase sequence, rows ordered by the
+  /// rank of a "[PREFIX/]rank N" track name (strictly parsed, 0 <= N <=
+  /// INT_MAX) and then by track; other names sort last.  is_comm reads
   /// the END event's is_comm argument.  Torn spans (B without E) are
   /// skipped — summarize() counts those separately.
   static PhaseDag from_trace(const trace::TraceData& data);

@@ -71,12 +71,11 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
   out.workers = opts.workers;
   out.rows.resize(n);
   std::vector<char> has(n, 0);
-  std::size_t done = 0;
 
   auto finalize = [&](const SweepRow& row, std::size_t pos) {
     has[pos] = 1;
     out.rows[pos] = row;
-    ++done;
+    ++out.done;
     if (!row.ok) ++out.failed;
     if (opts.on_final_row) opts.on_final_row(out.rows[pos]);
   };
@@ -174,25 +173,10 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
     return true;
   };
 
-  auto progress = [&](bool complete) {
-    if (!opts.on_progress) return;
-    CampaignProgress p;
-    p.total = n;
-    p.done = done;
-    p.failed = out.failed;
-    p.resumed = out.resumed;
-    p.retries = out.retries;
-    p.steals = out.steals;
-    p.tasks = out.tasks;
-    p.task_retries = out.task_retries;
-    p.complete = complete;
-    opts.on_progress(p);
-  };
-
   std::vector<int> free_slots;
   for (int w = opts.workers - 1; w >= 0; --w) free_slots.push_back(w);
 
-  while (done < n) {
+  while (out.done < n) {
     for (std::size_t i = free_slots.size(); i-- > 0;) {
       if (dispatch(free_slots[i]))
         free_slots.erase(free_slots.begin() + static_cast<std::ptrdiff_t>(i));
@@ -288,7 +272,7 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
         }
       }
     }
-    progress(false);
+    if (opts.on_progress) opts.on_progress(out);
   }
 
   out.wall_s =
@@ -301,7 +285,8 @@ CampaignOutcome run_campaign(const std::vector<SweepPoint>& points,
   reg.counter("campaign.resumed")->add(out.resumed);
   reg.counter("campaign.failed_points")->add(out.failed);
   reg.gauge("campaign.wall_s")->set(out.wall_s);
-  progress(true);
+  out.complete = true;
+  if (opts.on_progress) opts.on_progress(out);
   return out;
 }
 

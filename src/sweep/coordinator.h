@@ -44,20 +44,7 @@
 
 namespace unimem::sweep {
 
-/// Live campaign counters, pushed to on_progress after every task
-/// completion (and once at the end with complete=true).  The CLI renders
-/// this as the live --summary-json.
-struct CampaignProgress {
-  std::size_t total = 0;
-  std::size_t done = 0;  ///< finalized points (ok + failed + resumed)
-  std::size_t failed = 0;
-  std::size_t resumed = 0;       ///< points satisfied by resume_rows
-  std::size_t retries = 0;       ///< failed point attempts re-run in tasks
-  std::size_t steals = 0;        ///< chunks taken from another worker's queue
-  std::size_t tasks = 0;         ///< tasks dispatched (incl. re-dispatches)
-  std::size_t task_retries = 0;  ///< re-dispatches after a worker died
-  bool complete = false;
-};
+struct CampaignOutcome;
 
 struct CoordinatorOptions {
   Launcher* launcher = nullptr;  ///< required; not owned
@@ -88,7 +75,9 @@ struct CoordinatorOptions {
   /// Campaign-level row sink: called once per point — resumed points
   /// first (in point order), then fresh points in completion order.
   std::function<void(const SweepRow&)> on_final_row;
-  std::function<void(const CampaignProgress&)> on_progress;
+  /// The campaign so far, after every task completion and once at the end
+  /// with complete=true.  The CLI renders it as the live --summary-json.
+  std::function<void(const CampaignOutcome&)> on_progress;
   /// Ask each task to spill a per-task trace shard ("<artifact>.trace",
   /// binary format) for the coordinator to stitch into the campaign
   /// timeline.  Set this for process-backed launchers only; in-process
@@ -97,22 +86,20 @@ struct CoordinatorOptions {
   std::size_t trace_buf = 0;  ///< forwarded to LaunchTask::trace_buf
 };
 
-struct CampaignOutcome {
-  std::vector<SweepRow> rows;  ///< point (expansion) order
-  std::size_t failed = 0;
-  std::size_t resumed = 0;
-  std::size_t retries = 0;
-  std::size_t steals = 0;
-  std::size_t tasks = 0;
-  std::size_t task_retries = 0;
-  double wall_s = 0;
+/// The engine aggregates of the whole campaign plus its service counters.
+/// Rows are in point (expansion) order; worlds_executed, baseline_* and
+/// retries (failed point attempts re-run in tasks) are summed from the
+/// task sidecars (read_task_meta; a task that left no readable sidecar
+/// contributes zero) and jobs_used is the widest per-task engine width
+/// observed.
+struct CampaignOutcome : SweepOutcome {
+  std::size_t done = 0;     ///< finalized points (ok + failed + resumed)
+  bool complete = false;    ///< set once, on the final on_progress call
+  std::size_t resumed = 0;  ///< points satisfied by resume_rows
+  std::size_t steals = 0;   ///< chunks taken from another worker's queue
+  std::size_t tasks = 0;    ///< tasks dispatched (incl. re-dispatches)
+  std::size_t task_retries = 0;  ///< re-dispatches after a worker died
   int workers = 0;
-  /// Aggregated from task sidecars (read_task_meta; a task that left no
-  /// readable sidecar contributes zero).
-  std::size_t worlds_executed = 0;
-  std::size_t baseline_requests = 0;
-  std::size_t baseline_computed = 0;
-  int jobs_used = 0;  ///< widest per-task engine width observed
   /// One entry per task that finished with points missing from its
   /// artifact: the worker's fate plus how many points it handed back.
   /// Re-dispatch recovers these; the log says why they happened.

@@ -347,6 +347,30 @@ TEST(PhaseDagFromTrace, SkipsTornAndUnstampedSpans) {
   EXPECT_DOUBLE_EQ(dag.critical_path_s(), 1.0);
 }
 
+TEST(PhaseDagFromTrace, MalformedRankNamesSortAsUnnamed) {
+  // Track names are outside bytes: "rank 4294967296" overflows int (atoi
+  // mapped it to rank 0) and "rank 1x" has trailing garbage, so both count
+  // as unnamed and sort after the prefixed but well-formed "rank 0".
+  trace::TraceData data;
+  const std::uint32_t huge = add_track(&data, "rank 4294967296");
+  const std::uint32_t junk = add_track(&data, "rank 1x");
+  const std::uint32_t named = add_track(&data, "task-3/rank 0");
+  phase_event(&data, huge, 'B', 0.0, 10);
+  phase_event(&data, huge, 'E', 1.0, 20);
+  phase_event(&data, junk, 'B', 0.0, 11);
+  phase_event(&data, junk, 'E', 2.0, 21);
+  phase_event(&data, named, 'B', 0.0, 12);
+  phase_event(&data, named, 'E', 3.0, 22);
+  PhaseDag dag = PhaseDag::from_trace(data);
+  ASSERT_EQ(dag.nodes().size(), 3u);
+  ASSERT_NE(dag.find(0, 0), nullptr);
+  ASSERT_NE(dag.find(1, 0), nullptr);
+  ASSERT_NE(dag.find(2, 0), nullptr);
+  EXPECT_DOUBLE_EQ(dag.find(0, 0)->duration_s, 3.0);  // "task-3/rank 0"
+  EXPECT_DOUBLE_EQ(dag.find(1, 0)->duration_s, 1.0);  // unnamed, track 0
+  EXPECT_DOUBLE_EQ(dag.find(2, 0)->duration_s, 2.0);  // unnamed, track 1
+}
+
 TEST(PhaseDagFromTrace, EmptyTraceBuildsEmptyDag) {
   trace::TraceData data;
   PhaseDag dag = PhaseDag::from_trace(data);

@@ -207,11 +207,12 @@ TEST(Coordinator, StressCampaignRecoversFaultsStealsWorkStaysDeterministic) {
 
   std::size_t final_rows = 0;
   opts.on_final_row = [&](const SweepRow&) { ++final_rows; };
-  CampaignProgress last{};
-  std::size_t progress_calls = 0;
-  opts.on_progress = [&](const CampaignProgress& p) {
+  std::size_t progress_calls = 0, last_done = 0;
+  bool last_complete = false;
+  opts.on_progress = [&](const CampaignOutcome& p) {
     ++progress_calls;
-    last = p;
+    last_done = p.done;
+    last_complete = p.complete;
   };
 
   const CampaignOutcome out = run_campaign(points, opts);
@@ -240,8 +241,8 @@ TEST(Coordinator, StressCampaignRecoversFaultsStealsWorkStaysDeterministic) {
   }
   EXPECT_EQ(final_rows, kPoints);
   EXPECT_GE(progress_calls, out.tasks + 1);
-  EXPECT_TRUE(last.complete);
-  EXPECT_EQ(last.done, kPoints);
+  EXPECT_TRUE(last_complete);
+  EXPECT_EQ(last_done, kPoints);
 
   EngineOptions plain;
   plain.jobs = 4;

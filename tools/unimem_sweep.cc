@@ -38,10 +38,12 @@
 //
 // Every topology produces byte-identical CSV/JSONL to a single-process
 // `--jobs 1` run (asserted by the sweep_shard_golden ctest).
-#include <unistd.h>
-
+//
+// Each flag is declared once, in options() (src/common/cli.h): --help is
+// printed from that table, and the cmd launcher forwards the flags it
+// marks as the user typed them.
 #include <algorithm>
-#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -49,13 +51,16 @@
 #include <ctime>
 #include <exception>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "sweep/coordinator.h"
@@ -70,27 +75,12 @@
 
 namespace {
 
+using namespace unimem;
+
 /// Version of the --summary-json document layout (see README "Summary
 /// JSON schema").  Bump when fields change meaning or go away; adding
 /// fields is compatible and does not bump.
 constexpr int kSummarySchemaVersion = 3;
-
-std::string iso8601_utc_now() {
-  const std::time_t now = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-/// The schema_version/finished_at/metrics tail shared by every final
-/// summary writer (the live service summary carries schema_version only —
-/// the campaign has not finished and metrics are still accumulating).
-std::string summary_tail() {
-  return ",\"finished_at\":\"" + iso8601_utc_now() + "\",\"metrics\":" +
-         unimem::trace::MetricsRegistry::global().snapshot().to_json();
-}
 
 /// Export by extension: .json = Chrome trace-event (Perfetto-loadable),
 /// anything else = the compact binary spill format.
@@ -102,439 +92,309 @@ bool export_trace(unimem::trace::TraceData data, const std::string& path) {
               : unimem::trace::write_binary(data, path);
 }
 
-void usage(std::FILE* out) {
-  std::fputs(
-      "usage: unimem_sweep --spec NAME [options]\n"
-      "       unimem_sweep --list\n"
-      "\n"
-      "options:\n"
-      "  --spec NAME          built-in spec to run (see --list)\n"
-      "  --jobs N             concurrent jobs (default: hardware threads)\n"
-      "  --ranks N            max simulated ranks in flight (default: 4*jobs)\n"
-      "  --filter STR         run only points whose label contains STR\n"
-      "  --indices I,J,...    run only the named expansion indices\n"
-      "  --points             print the expanded point list and exit\n"
-      "  --csv PATH           write the result table as CSV\n"
-      "  --jsonl PATH         stream per-point results as JSONL\n"
-      "  --summary-json PATH  write a machine-readable batch summary\n"
-      "                       (service mode rewrites it live per task)\n"
-      "  --shard I/N          run only the I-th of N deterministic shard slices\n"
-      "  --shards N           fork N worker processes and merge their rows;\n"
-      "                       an alias for --launcher fork --workers N\n"
-      "  --merge FILE...      stitch per-shard JSONL files into --csv/--jsonl\n"
-      "                       (with --spec: verify the merge covers the spec)\n"
-      "  --profiler exact|N   override the spec's profiling tier: exact, or\n"
-      "                       sampled with base period N (collapses the prof axis)\n"
-      "  --dag off|slack      override the spec's phase-DAG scheduling mode\n"
-      "                       (collapses the dag axis)\n"
-      "  --tiers SPEC         override the spec's memory topology: a\n"
-      "                       parse_topology ladder such as\n"
-      "                       hbm:1MiB,dram:4MiB,nvm:512MiB, or 'classic' for\n"
-      "                       the 2-tier machine (collapses the tiers axis)\n"
-      "  --retries N          re-run failed points up to N times with capped\n"
-      "                       deterministic exponential backoff\n"
-      "  --launcher KIND      service mode: dispatch via a coordinator; KIND is\n"
-      "                       inproc, fork, or cmd[:PREFIX] (e.g. cmd:ssh host)\n"
-      "  --workers N          coordinator worker slots (default 2; implies\n"
-      "                       --launcher inproc when none given)\n"
-      "  --steal              work-steal chunks between coordinator workers\n"
-      "  --resume             skip points already ok in the --jsonl artifact\n"
-      "                       (tolerates a torn last line from a crash)\n"
-      "  --trace PATH         record a span trace of the run; .json writes\n"
-      "                       Chrome/Perfetto trace-event JSON, anything else\n"
-      "                       the compact binary format (see unimem_trace)\n"
-      "  --trace-buf N        per-thread trace ring capacity in events\n"
-      "                       (default 16384; overflow drops, never blocks)\n"
-      "  --smoke              clamp to smoke scale (same as UNIMEM_BENCH_SMOKE=1)\n"
-      "  --quiet              suppress the stdout table\n"
-      "\n"
-      "fault-injection / internal (used by tests and the cmd launcher):\n"
-      "  --inject-fail P[:SEED]  fail each point's first attempt with seeded\n"
-      "                          probability P (deterministic per index)\n"
-      "  --backoff-base S        retry backoff base delay in seconds\n"
-      "  --attempt-base N        campaign-global attempt number of this task\n"
-      "  --task-meta PATH        write the engine counter sidecar after the run\n",
-      out);
-}
-
-/// Strict full-string signed parse: rejects empty strings, trailing
-/// garbage ("16x"), and out-of-range values — unlike atoi/atol, which
-/// accept all three silently.
-bool parse_i64(const char* s, long long lo, long long hi, long long* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (errno == ERANGE || end == s || *end != '\0') return false;
-  if (v < lo || v > hi) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(const char* s, unsigned long long lo, unsigned long long hi,
-               unsigned long long* out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno == ERANGE || end == s || *end != '\0') return false;
-  if (v < lo || v > hi) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_f64(const char* s, double lo, double hi, double* out) {
-  if (s == nullptr || *s == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (errno == ERANGE || end == s || *end != '\0') return false;
-  if (!(v >= lo && v <= hi)) return false;
-  *out = v;
-  return true;
-}
-
 struct Args {
-  std::string spec;
-  std::string filter;
-  std::string profiler;  ///< --profiler exact|N ("" = spec default)
-  std::string dag;       ///< --dag off|slack ("" = spec default)
-  std::string tiers;     ///< --tiers SPEC|classic ("" = spec default)
-  bool have_tiers = false;
-  std::string csv, jsonl, summary_json;
+  std::string spec, filter, csv, jsonl, summary_json;
+  std::optional<std::uint64_t> profiler_period;  ///< --profiler; 0 = exact
+  std::optional<rt::DagSchedule> dag;            ///< --dag
+  std::optional<std::string> tiers;              ///< --tiers; "" = classic
   std::string launcher;   ///< "" = engine mode; inproc|fork|cmd[:PREFIX]
   std::string task_meta;  ///< --task-meta sidecar path ("" = none)
   std::string trace;      ///< --trace output path ("" = tracing off)
   unsigned long long trace_buf = 0;  ///< --trace-buf (0 = default ring)
   std::vector<std::string> merge_inputs;
-  std::vector<std::size_t> indices;  ///< --indices selection ("" = all)
-  bool have_indices = false;
-  int jobs = 0;
-  int ranks = 0;
+  std::optional<std::vector<std::size_t>> indices;  ///< --indices selection
+  /// --jobs, --ranks, --retries, --backoff-base and --attempt-base.
+  sweep::EngineOptions engine;
+  int workers = 0;              ///< 0 = default (2) in service mode
   int shard = -1, nshards = 0;  ///< --shard I/N
-  int retries = 0;
-  int workers = 0;  ///< 0 = default (2) in service mode
-  int attempt_base = 0;
+  int shards = 0;               ///< --shards N, resolved by check()
   double inject_fail = 0.0;
   std::uint64_t inject_seed = 20177;  ///< conf_sc_WuHL17 vintage
-  double backoff_base = -1.0;         ///< < 0 = RetryBackoff default
-  bool steal = false, resume = false;
   bool list = false, points = false, smoke = false, quiet = false;
-  bool merge = false;
+  bool steal = false, resume = false, merge = false;
 };
 
-bool parse(int argc, char** argv, Args& a) {
-  int shards = 0;  // --shards N, resolved into launcher/workers below
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "unimem_sweep: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      std::exit(0);
-    } else if (arg == "--list") {
-      a.list = true;
-    } else if (arg == "--points") {
-      a.points = true;
-    } else if (arg == "--smoke") {
-      a.smoke = true;
-    } else if (arg == "--quiet") {
-      a.quiet = true;
-    } else if (arg == "--steal") {
-      a.steal = true;
-    } else if (arg == "--resume") {
-      a.resume = true;
-    } else if (arg == "--spec") {
-      const char* v = value("--spec");
-      if (v == nullptr) return false;
-      a.spec = v;
-    } else if (arg == "--filter") {
-      const char* v = value("--filter");
-      if (v == nullptr) return false;
-      a.filter = v;
-    } else if (arg == "--profiler") {
-      const char* v = value("--profiler");
-      if (v == nullptr) return false;
-      a.profiler = v;
-      unsigned long long period = 0;
-      if (a.profiler != "exact" &&
-          !parse_u64(v, 1, UINT64_MAX, &period)) {
-        std::fprintf(stderr,
-                     "unimem_sweep: --profiler wants 'exact' or a period N "
-                     ">= 1 (got '%s')\n",
-                     v);
-        return false;
-      }
-    } else if (arg == "--dag") {
-      const char* v = value("--dag");
-      if (v == nullptr) return false;
-      a.dag = v;
-      if (a.dag != "off" && a.dag != "slack") {
-        std::fprintf(stderr,
-                     "unimem_sweep: --dag wants 'off' or 'slack' (got '%s')\n",
-                     v);
-        return false;
-      }
-    } else if (arg == "--tiers") {
-      const char* v = value("--tiers");
-      if (v == nullptr) return false;
-      a.have_tiers = true;
-      a.tiers = v;
-      if (a.tiers == "classic") a.tiers.clear();
-      if (!a.tiers.empty()) {
-        try {
-          (void)unimem::mem::parse_topology(a.tiers);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr,
-                       "unimem_sweep: --tiers wants 'classic' or a topology "
-                       "like hbm:1MiB,dram:4MiB,nvm:512MiB (%s)\n",
-                       e.what());
-          return false;
-        }
-      }
-    } else if (arg == "--csv") {
-      const char* v = value("--csv");
-      if (v == nullptr) return false;
-      a.csv = v;
-    } else if (arg == "--jsonl") {
-      const char* v = value("--jsonl");
-      if (v == nullptr) return false;
-      a.jsonl = v;
-    } else if (arg == "--summary-json") {
-      const char* v = value("--summary-json");
-      if (v == nullptr) return false;
-      a.summary_json = v;
-    } else if (arg == "--task-meta") {
-      const char* v = value("--task-meta");
-      if (v == nullptr) return false;
-      a.task_meta = v;
-    } else if (arg == "--trace") {
-      const char* v = value("--trace");
-      if (v == nullptr) return false;
-      a.trace = v;
-    } else if (arg == "--trace-buf") {
-      const char* v = value("--trace-buf");
-      if (v == nullptr) return false;
-      if (!parse_u64(v, 1, 1ull << 30, &a.trace_buf)) {
-        std::fprintf(stderr, "unimem_sweep: --trace-buf wants events in "
-                     "[1, 2^30] (got '%s')\n", v);
-        return false;
-      }
-    } else if (arg == "--launcher") {
-      const char* v = value("--launcher");
-      if (v == nullptr) return false;
-      a.launcher = v;
-      if (a.launcher != "inproc" && a.launcher != "fork" &&
-          a.launcher != "cmd" && a.launcher.rfind("cmd:", 0) != 0) {
-        std::fprintf(stderr,
-                     "unimem_sweep: --launcher wants inproc, fork, or "
-                     "cmd[:PREFIX] (got '%s')\n",
-                     v);
-        return false;
-      }
-    } else if (arg == "--jobs") {
-      const char* v = value("--jobs");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 0, 1 << 20, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --jobs wants an integer >= 0 "
-                     "(got '%s')\n", v);
-        return false;
-      }
-      a.jobs = static_cast<int>(n);
-    } else if (arg == "--ranks") {
-      const char* v = value("--ranks");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 0, 1 << 20, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --ranks wants an integer >= 0 "
-                     "(got '%s')\n", v);
-        return false;
-      }
-      a.ranks = static_cast<int>(n);
-    } else if (arg == "--retries") {
-      const char* v = value("--retries");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 0, 1000, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --retries wants an integer in "
-                     "[0, 1000] (got '%s')\n", v);
-        return false;
-      }
-      a.retries = static_cast<int>(n);
-    } else if (arg == "--workers") {
-      const char* v = value("--workers");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 1, 1 << 16, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --workers wants an integer >= 1 "
-                     "(got '%s')\n", v);
-        return false;
-      }
-      a.workers = static_cast<int>(n);
-    } else if (arg == "--attempt-base") {
-      const char* v = value("--attempt-base");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 0, 1 << 20, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --attempt-base wants an integer "
-                     ">= 0 (got '%s')\n", v);
-        return false;
-      }
-      a.attempt_base = static_cast<int>(n);
-    } else if (arg == "--backoff-base") {
-      const char* v = value("--backoff-base");
-      if (v == nullptr) return false;
-      if (!parse_f64(v, 0.0, 3600.0, &a.backoff_base)) {
-        std::fprintf(stderr, "unimem_sweep: --backoff-base wants seconds in "
-                     "[0, 3600] (got '%s')\n", v);
-        return false;
-      }
-    } else if (arg == "--inject-fail") {
-      const char* v = value("--inject-fail");
-      if (v == nullptr) return false;
-      std::string spec = v;
-      const std::size_t colon = spec.find(':');
-      bool ok = true;
-      if (colon != std::string::npos) {
-        unsigned long long seed = 0;
-        ok = parse_u64(spec.c_str() + colon + 1, 0, UINT64_MAX, &seed);
-        a.inject_seed = seed;
-        spec.resize(colon);
-      }
-      if (!ok || !parse_f64(spec.c_str(), 0.0, 1.0, &a.inject_fail)) {
-        std::fprintf(stderr, "unimem_sweep: --inject-fail wants P[:SEED] "
-                     "with P in [0, 1] (got '%s')\n", v);
-        return false;
-      }
-    } else if (arg == "--indices") {
-      const char* v = value("--indices");
-      if (v == nullptr) return false;
-      a.have_indices = true;
-      const std::string list = v;
-      std::size_t start = 0;
-      bool ok = !list.empty();
-      while (ok && start <= list.size()) {
-        std::size_t comma = list.find(',', start);
-        if (comma == std::string::npos) comma = list.size();
-        unsigned long long idx = 0;
-        ok = parse_u64(list.substr(start, comma - start).c_str(), 0,
-                       SIZE_MAX, &idx);
-        if (ok) a.indices.push_back(static_cast<std::size_t>(idx));
-        start = comma + 1;
-      }
-      if (!ok) {
-        std::fprintf(stderr, "unimem_sweep: --indices wants a comma-separated "
-                     "integer list (got '%s')\n", v);
-        return false;
-      }
-    } else if (arg == "--shard") {
-      const char* v = value("--shard");
-      if (v == nullptr) return false;
-      int consumed = -1;
-      if (std::sscanf(v, "%d/%d%n", &a.shard, &a.nshards, &consumed) != 2 ||
-          consumed != static_cast<int>(std::strlen(v)) || a.shard < 0 ||
-          a.nshards < 1 || a.shard >= a.nshards) {
-        std::fprintf(stderr,
-                     "unimem_sweep: --shard wants I/N with 0 <= I < N "
-                     "(got '%s')\n",
-                     v);
-        return false;
-      }
-    } else if (arg == "--shards") {
-      const char* v = value("--shards");
-      if (v == nullptr) return false;
-      long long n = 0;
-      if (!parse_i64(v, 1, 1 << 16, &n)) {
-        std::fprintf(stderr, "unimem_sweep: --shards wants N >= 1 (got '%s')\n",
-                     v);
-        return false;
-      }
-      shards = static_cast<int>(n);
-    } else if (arg == "--merge") {
-      a.merge = true;
-    } else if (a.merge && !arg.empty() && arg[0] != '-') {
-      a.merge_inputs.push_back(arg);
-    } else {
-      std::fprintf(stderr, "unimem_sweep: unknown option '%s'\n", arg.c_str());
-      return false;
-    }
-  }
-  if (a.merge && a.merge_inputs.empty()) {
-    std::fprintf(stderr, "unimem_sweep: --merge needs shard JSONL files\n");
-    return false;
-  }
-  if (a.merge && (a.shard >= 0 || shards > 0)) {
-    std::fprintf(stderr, "unimem_sweep: --merge excludes --shard/--shards\n");
-    return false;
-  }
-  if (a.shard >= 0 && shards > 0) {
-    std::fprintf(stderr, "unimem_sweep: pick one of --shard or --shards\n");
-    return false;
-  }
-  if (shards > 0) {
-    if (!a.launcher.empty() || a.workers > 0) {
-      std::fprintf(stderr,
-                   "unimem_sweep: --shards N means --launcher fork --workers "
-                   "N; pass either --shards or --launcher/--workers\n");
-      return false;
-    }
+/// The option table: every flag of this tool, once.
+cli::Table options(Args& a) {
+  return cli::Table{
+      "unimem_sweep",
+      "usage: unimem_sweep --spec NAME [options]\n"
+      "       unimem_sweep --list\n"
+      "       unimem_sweep --merge FILE... [options]",
+      {
+          {"--spec", "NAME", "built-in spec to run (see --list)",
+           cli::text(&a.spec), true},
+          {"--list", "", "list the built-in specs and exit", cli::on(&a.list)},
+          {"--jobs", "N", "concurrent jobs (default: hardware threads)",
+           cli::integer(&a.engine.jobs, 0, 1 << 20, "an integer >= 0")},
+          {"--ranks", "N", "max simulated ranks in flight (default: 4*jobs)",
+           cli::integer(&a.engine.max_inflight_ranks, 0, 1 << 20,
+                        "an integer >= 0")},
+          {"--filter", "STR", "run only points whose label contains STR",
+           cli::text(&a.filter)},
+          {"--indices", "I,J,...", "run only the named expansion indices",
+           [&a](const char* v) -> std::string {
+             const std::string s = v;
+             std::set<std::size_t> seen;
+             a.indices.emplace();
+             for (std::size_t at = 0, end = 0; at <= s.size(); at = end + 1) {
+               end = std::min(s.find(',', at), s.size());
+               unsigned long long i = 0;
+               if (!cli::parse_u64(s.substr(at, end - at).c_str(), 0, SIZE_MAX,
+                                   &i))
+                 return "wants a comma-separated integer list";
+               if (!seen.insert(i).second)
+                 return "repeats index " + std::to_string(i);
+               a.indices->push_back(i);
+             }
+             return "";
+           }},
+          {"--points", "", "print the expanded point list and exit",
+           cli::on(&a.points)},
+          {"--csv", "PATH", "write the result table as CSV", cli::text(&a.csv)},
+          {"--jsonl", "PATH", "stream per-point results as JSONL",
+           cli::text(&a.jsonl)},
+          {"--summary-json", "PATH",
+           "write a machine-readable batch summary (service mode rewrites it "
+           "live per task)",
+           cli::text(&a.summary_json)},
+          {"--shard", "I/N",
+           "run only the I-th of N deterministic shard slices",
+           [&a](const char* v) -> std::string {
+             const std::string s = v;
+             const std::size_t slash = s.find('/');
+             long long i = 0, n = 0;
+             if (slash == std::string::npos ||
+                 !cli::parse_i64(s.substr(0, slash).c_str(), 0, INT_MAX, &i) ||
+                 !cli::parse_i64(v + slash + 1, i + 1, INT_MAX, &n))
+               return "wants I/N with 0 <= I < N";
+             a.shard = static_cast<int>(i);
+             a.nshards = static_cast<int>(n);
+             return "";
+           }},
+          {"--shards", "N",
+           "fork N worker processes and merge their rows; an alias for "
+           "--launcher fork --workers N",
+           cli::integer(&a.shards, 1, 1 << 16, "N >= 1")},
+          {"--merge", "",
+           "stitch the per-shard JSONL FILEs that follow into --csv/--jsonl "
+           "(with --spec: verify the merge covers the spec)",
+           cli::on(&a.merge)},
+          {"--profiler", "exact|N",
+           "override the spec's profiling tier: exact, or sampled with base "
+           "period N (collapses the prof axis)",
+           [&a](const char* v) -> std::string {
+             unsigned long long period = 0;
+             if (std::strcmp(v, "exact") != 0 &&
+                 !cli::parse_u64(v, 1, UINT64_MAX, &period))
+               return "wants 'exact' or a period N >= 1";
+             a.profiler_period = period;
+             return "";
+           },
+           true},
+          {"--dag", "off|slack",
+           "override the spec's phase-DAG scheduling mode (collapses the dag "
+           "axis)",
+           [&a](const char* v) -> std::string {
+             const std::string s = v;
+             if (s != "off" && s != "slack") return "wants 'off' or 'slack'";
+             a.dag = s == "off" ? rt::DagSchedule::kOff
+                                : rt::DagSchedule::kSlack;
+             return "";
+           },
+           true},
+          {"--tiers", "SPEC",
+           "override the spec's memory topology: a parse_topology ladder such "
+           "as hbm:1MiB,dram:4MiB,nvm:512MiB, or 'classic' for the 2-tier "
+           "machine (collapses the tiers axis)",
+           [&a](const char* v) -> std::string {
+             const std::string s = std::strcmp(v, "classic") == 0 ? "" : v;
+             try {
+               if (!s.empty()) (void)mem::parse_topology(s);
+             } catch (const std::exception& e) {
+               return std::string("wants 'classic' or a topology like "
+                                  "hbm:1MiB,dram:4MiB,nvm:512MiB (") +
+                      e.what() + ")";
+             }
+             a.tiers = s;
+             return "";
+           },
+           true},
+          {"--retries", "N",
+           "re-run failed points up to N times with capped deterministic "
+           "exponential backoff",
+           cli::integer(&a.engine.max_point_retries, 0, 1000,
+                        "an integer in [0, 1000]")},
+          {"--launcher", "KIND",
+           "service mode: dispatch via a coordinator; KIND is inproc, fork, or "
+           "cmd[:PREFIX] (e.g. cmd:ssh host)",
+           [&a](const char* v) -> std::string {
+             const std::string s = v;
+             if (s != "inproc" && s != "fork" && s != "cmd" &&
+                 s.rfind("cmd:", 0) != 0)
+               return "wants inproc, fork, or cmd[:PREFIX]";
+             a.launcher = s;
+             return "";
+           }},
+          {"--workers", "N",
+           "coordinator worker slots (default 2; implies --launcher inproc "
+           "when none given)",
+           cli::integer(&a.workers, 1, 1 << 16, "an integer >= 1")},
+          {"--steal", "", "work-steal chunks between coordinator workers",
+           cli::on(&a.steal)},
+          {"--resume", "",
+           "skip points already ok in the --jsonl artifact (tolerates a torn "
+           "last line from a crash)",
+           cli::on(&a.resume)},
+          {"--trace", "PATH",
+           "record a span trace of the run; .json writes Chrome/Perfetto "
+           "trace-event JSON, anything else the compact binary format (see "
+           "unimem_trace)",
+           cli::text(&a.trace)},
+          {"--trace-buf", "N",
+           "per-thread trace ring capacity in events (default 16384; overflow "
+           "drops, never blocks)",
+           cli::count(&a.trace_buf, 1, 1ull << 30, "events in [1, 2^30]")},
+          {"--smoke", "", "clamp to smoke scale (same as UNIMEM_BENCH_SMOKE=1)",
+           cli::on(&a.smoke), true},
+          {"--quiet", "", "suppress the stdout table", cli::on(&a.quiet)},
+          {"", "",
+           "fault-injection / internal (used by tests and the cmd launcher):",
+           nullptr},
+          {"--inject-fail", "P[:SEED]",
+           "fail each point's first attempt with seeded probability P "
+           "(deterministic per index)",
+           [&a](const char* v) -> std::string {
+             const std::string s = v;
+             const std::size_t colon = std::min(s.find(':'), s.size());
+             unsigned long long seed = a.inject_seed;
+             if ((colon < s.size() &&
+                  !cli::parse_u64(v + colon + 1, 0, UINT64_MAX, &seed)) ||
+                 !cli::parse_f64(s.substr(0, colon).c_str(), 0.0, 1.0,
+                                 &a.inject_fail))
+               return "wants P[:SEED] with P in [0, 1]";
+             a.inject_seed = seed;
+             return "";
+           },
+           true},
+          {"--backoff-base", "S", "retry backoff base delay in seconds",
+           cli::real(&a.engine.backoff.base_s, 0.0, 3600.0,
+                     "seconds in [0, 3600]"),
+           true},
+          {"--attempt-base", "N", "campaign-global attempt number of this task",
+           cli::integer(&a.engine.attempt_base, 0, 1 << 20, "an integer >= 0")},
+          {"--task-meta", "PATH",
+           "write the engine counter sidecar after the run",
+           cli::text(&a.task_meta)},
+      },
+      [&a](const char* file) {
+        if (a.merge) a.merge_inputs.push_back(file);
+        return a.merge;
+      }};
+}
+
+/// The rules that span flags; returns the violated one ("" = none).
+std::string check(Args& a) {
+  if (a.merge && a.merge_inputs.empty())
+    return "--merge needs shard JSONL files";
+  if (a.merge && (a.shard >= 0 || a.shards > 0))
+    return "--merge excludes --shard/--shards";
+  if (a.shard >= 0 && a.shards > 0)
+    return "pick one of --shard or --shards";
+  if (a.shards > 0) {
+    if (!a.launcher.empty() || a.workers > 0)
+      return "--shards N means --launcher fork --workers N; pass either "
+             "--shards or --launcher/--workers";
     a.launcher = "fork";
-    a.workers = shards;
+    a.workers = a.shards;
   }
   // --steal/--workers only mean something under a coordinator; default
   // them into the cheapest launcher rather than silently ignoring them.
   if (a.launcher.empty() && (a.steal || a.workers > 0)) a.launcher = "inproc";
-  if (!a.launcher.empty() && a.shard >= 0) {
-    std::fprintf(stderr,
-                 "unimem_sweep: --launcher excludes --shard (the "
-                 "coordinator owns the topology)\n");
-    return false;
-  }
-  if (a.resume && a.jsonl.empty()) {
-    std::fprintf(stderr, "unimem_sweep: --resume needs --jsonl PATH (the "
-                 "artifact to resume from)\n");
-    return false;
-  }
-  return true;
+  if (!a.launcher.empty() && a.shard >= 0)
+    return "--launcher excludes --shard (the coordinator owns the topology)";
+  if (a.resume && a.jsonl.empty())
+    return "--resume needs --jsonl PATH (the artifact to resume from)";
+  return "";
 }
 
-/// Absolute path of this binary, for the cmd launcher's self-invocation.
-std::string self_exe(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
+/// What --summary-json reports (README "Summary JSON schema").
+struct Summary {
+  std::size_t points = 0, failed = 0, retries = 0, resumed = 0;
+  /// The finished run's engine aggregates; null while a campaign is live.
+  const sweep::SweepOutcome* totals = nullptr;
+  const sweep::CampaignOutcome* campaign = nullptr;  ///< service mode only
+  const char* launcher = "";                         ///< service mode only
+};
+
+/// The one --summary-json writer, for engine and service mode alike: the
+/// engine fields, the service fields in service mode, then — once the run
+/// is finished — finished_at and the metrics snapshot.  Written to a temp
+/// file and renamed, so a watcher always reads a complete document.
+bool write_summary(const Args& a, const Summary& s) {
+  const std::string tmp = a.summary_json + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return false;
+  std::fprintf(f,
+               "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
+               "\"failed\":%zu,\"retries\":%zu,\"resumed\":%zu,"
+               "\"host_cpus\":%u",
+               kSummarySchemaVersion, a.spec.c_str(), s.points, s.failed,
+               s.retries, s.resumed, std::thread::hardware_concurrency());
+  if (s.totals != nullptr)
+    std::fprintf(f,
+                 ",\"jobs\":%d,\"wall_s\":%.6f,\"worlds_executed\":%zu,"
+                 "\"baseline_requests\":%zu,\"baseline_computed\":%zu",
+                 s.totals->jobs_used, s.totals->wall_s,
+                 s.totals->worlds_executed, s.totals->baseline_requests,
+                 s.totals->baseline_computed);
+  if (s.campaign != nullptr)
+    std::fprintf(f,
+                 ",\"done\":%zu,\"steals\":%zu,\"tasks\":%zu,"
+                 "\"task_retries\":%zu,\"workers\":%d,\"launcher\":\"%s\","
+                 "\"steal\":%s,\"complete\":%s",
+                 s.campaign->done, s.campaign->steals, s.campaign->tasks,
+                 s.campaign->task_retries, s.campaign->workers, s.launcher,
+                 a.steal ? "true" : "false",
+                 s.campaign->complete ? "true" : "false");
+  if (s.totals != nullptr) {
+    const std::time_t now = std::time(nullptr);
+    std::tm tm{};
+    gmtime_r(&now, &tm);
+    char iso8601[32];
+    std::strftime(iso8601, sizeof iso8601, "%Y-%m-%dT%H:%M:%SZ", &tm);
+    std::fprintf(
+        f, ",\"finished_at\":\"%s\",\"metrics\":%s", iso8601,
+        trace::MetricsRegistry::global().snapshot().to_json().c_str());
   }
-  return argv0;
+  std::fputs("}\n", f);
+  const bool written = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && written &&
+         std::rename(tmp.c_str(), a.summary_json.c_str()) == 0;
+}
+
+/// Writes the final summary (when asked) and maps the run to an exit code.
+int conclude(const Args& a, const Summary& s) {
+  if (!a.summary_json.empty() && !write_summary(a, s)) {
+    std::fprintf(stderr, "unimem_sweep: cannot write %s\n",
+                 a.summary_json.c_str());
+    return 1;
+  }
+  return s.failed == 0 ? 0 : 2;
 }
 
 }  // namespace
 
-int run_cli(int argc, char** argv);
-
-int main(int argc, char** argv) {
-  try {
-    return run_cli(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "unimem_sweep: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_cli(int argc, char** argv) {
-  using namespace unimem;
+int main(int argc, char** argv) try {
   Args a;
-  if (!parse(argc, argv, a)) {
-    usage(stderr);
-    return 1;
+  const cli::Table table = options(a);
+  const cli::Result parsed = cli::parse(table, argc, argv);
+  if (parsed.help) {
+    cli::usage(table, stdout);
+    return 0;
   }
+  const std::string error = parsed.error.empty() ? check(a) : parsed.error;
+  if (!error.empty()) return cli::reject(table, error);
 
   if (a.list) {
     std::printf("%-18s %-7s %-32s %s\n", "spec", "points", "axes", "title");
@@ -553,6 +413,18 @@ int run_cli(int argc, char** argv) {
     return 0;
   }
 
+  std::optional<sweep::SweepSpec> spec;
+  if (!a.spec.empty()) {
+    spec = sweep::spec_by_name(a.spec);
+    if (!spec) {
+      std::fprintf(stderr, "unimem_sweep: unknown spec '%s' (try --list)\n",
+                   a.spec.c_str());
+      return 1;
+    }
+    if (a.smoke || sweep::smoke_requested())
+      *spec = sweep::smoke_clamped(*spec);
+  }
+
   if (a.merge) {
     // Offline mode: no worlds run; per-shard JSONL rows are stitched back
     // into the point-ordered table (byte-identical to a single-process
@@ -562,14 +434,7 @@ int run_cli(int argc, char** argv) {
     // merge_shards rejects overlapping shards; missing ones it cannot
     // tell from a filtered run, so cross-check against the spec when
     // named and otherwise at least flag index gaps.
-    if (!a.spec.empty()) {
-      auto spec = sweep::spec_by_name(a.spec);
-      if (!spec) {
-        std::fprintf(stderr, "unimem_sweep: unknown spec '%s' (try --list)\n",
-                     a.spec.c_str());
-        return 1;
-      }
-      if (a.smoke || sweep::smoke_requested()) *spec = sweep::smoke_clamped(*spec);
+    if (spec) {
       const auto points = spec->expand(a.filter);
       bool complete = rows.size() == points.size();
       for (std::size_t i = 0; complete && i < rows.size(); ++i)
@@ -607,35 +472,12 @@ int run_cli(int argc, char** argv) {
     return failed == 0 ? 0 : 2;
   }
 
-  if (a.spec.empty()) {
-    usage(stderr);
-    return 1;
-  }
-  auto spec = sweep::spec_by_name(a.spec);
-  if (!spec) {
-    std::fprintf(stderr, "unimem_sweep: unknown spec '%s' (try --list)\n",
-                 a.spec.c_str());
-    return 1;
-  }
-  if (a.smoke || sweep::smoke_requested()) *spec = sweep::smoke_clamped(*spec);
-  if (!a.profiler.empty()) {
-    // Collapse the profiling-tier axis to the requested value; explicit
-    // points keep their own configs (they never carry the prof axis).
-    unsigned long long period = 0;
-    if (a.profiler != "exact")
-      parse_u64(a.profiler.c_str(), 1, UINT64_MAX, &period);  // parse() vetted
-    spec->profiler_periods = {static_cast<std::uint64_t>(period)};
-  }
-  if (!a.dag.empty()) {
-    // Collapse the phase-DAG scheduling axis to the requested value.
-    spec->dag_schedules = {a.dag == "slack" ? rt::DagSchedule::kSlack
-                                            : rt::DagSchedule::kOff};
-  }
-  if (a.have_tiers) {
-    // Collapse the memory-topology axis to the requested ladder ("" after
-    // parse() = the classic 2-tier machine).
-    spec->topologies = {a.tiers};
-  }
+  if (!spec) return cli::reject(table, "--spec NAME is required");
+  // --profiler/--dag/--tiers collapse their axis to the requested value;
+  // explicit points keep their own configs (they never carry these axes).
+  if (a.profiler_period) spec->profiler_periods = {*a.profiler_period};
+  if (a.dag) spec->dag_schedules = {*a.dag};
+  if (a.tiers) spec->topologies = {*a.tiers};
 
   auto points = spec->expand(a.filter);
   if (points.empty()) {
@@ -643,22 +485,21 @@ int run_cli(int argc, char** argv) {
                  a.filter.c_str());
     return 1;
   }
-  if (a.have_indices) {
+  if (a.indices) {
     // Select by expansion index (the cmd launcher's task vocabulary);
     // order follows the list so a chunk executes in its dispatch order.
     std::map<std::size_t, const sweep::SweepPoint*> by_index;
     for (const auto& p : points) by_index[p.index] = &p;
     std::vector<sweep::SweepPoint> picked;
-    for (std::size_t idx : a.indices) {
-      const auto it = by_index.find(idx);
-      if (it == by_index.end()) {
+    for (std::size_t idx : *a.indices) {
+      if (by_index.count(idx) == 0) {
         std::fprintf(stderr,
                      "unimem_sweep: --indices names point %zu, which the "
                      "expansion does not contain\n",
                      idx);
         return 1;
       }
-      picked.push_back(*it->second);
+      picked.push_back(*by_index[idx]);
     }
     points = std::move(picked);
   }
@@ -704,12 +545,7 @@ int run_cli(int argc, char** argv) {
   if (!a.jsonl.empty() && (a.resume || !a.launcher.empty()))
     store.write_jsonl_at_finish(a.jsonl);
 
-  sweep::EngineOptions eopts;
-  eopts.jobs = a.jobs;
-  eopts.max_inflight_ranks = a.ranks;
-  eopts.max_point_retries = a.retries;
-  eopts.attempt_base = a.attempt_base;
-  if (a.backoff_base >= 0) eopts.backoff.base_s = a.backoff_base;
+  sweep::EngineOptions& eopts = a.engine;
   if (a.inject_fail > 0) {
     const double prob = a.inject_fail;
     const std::uint64_t seed = a.inject_seed;
@@ -751,77 +587,43 @@ int run_cli(int argc, char** argv) {
       // cmd[:PREFIX]: re-invoke this binary (through the PREFIX tokens,
       // e.g. "ssh host") with --indices naming the chunk's points.
       std::vector<std::string> prefix;
-      if (a.launcher.rfind("cmd:", 0) == 0) {
-        const std::string rest = a.launcher.substr(4);
-        std::size_t start = 0;
-        while (start < rest.size()) {
-          std::size_t sp = rest.find(' ', start);
-          if (sp == std::string::npos) sp = rest.size();
-          if (sp > start) prefix.push_back(rest.substr(start, sp - start));
-          start = sp + 1;
-        }
-      }
-      const std::string self = self_exe(argv[0]);
-      const Args args_copy = a;
-      auto make_argv = [self, args_copy](const sweep::LaunchTask& t) {
-        std::vector<std::string> v{self, "--spec", args_copy.spec, "--quiet"};
-        if (args_copy.smoke) v.push_back("--smoke");
-        if (!args_copy.profiler.empty()) {
-          v.push_back("--profiler");
-          v.push_back(args_copy.profiler);
-        }
-        if (!args_copy.dag.empty()) {
-          v.push_back("--dag");
-          v.push_back(args_copy.dag);
-        }
-        if (args_copy.have_tiers) {
-          v.push_back("--tiers");
-          v.push_back(args_copy.tiers.empty() ? "classic" : args_copy.tiers);
-        }
-        v.push_back("--jobs");
-        v.push_back(std::to_string(t.engine.jobs));
-        if (t.engine.max_inflight_ranks > 0) {
-          v.push_back("--ranks");
-          v.push_back(std::to_string(t.engine.max_inflight_ranks));
-        }
-        if (t.engine.max_point_retries > 0) {
-          v.push_back("--retries");
-          v.push_back(std::to_string(t.engine.max_point_retries));
-        }
-        if (args_copy.backoff_base >= 0) {
-          v.push_back("--backoff-base");
-          v.push_back(std::to_string(args_copy.backoff_base));
-        }
-        if (args_copy.inject_fail > 0) {
-          v.push_back("--inject-fail");
-          v.push_back(std::to_string(args_copy.inject_fail) + ":" +
-                      std::to_string(args_copy.inject_seed));
-        }
-        if (t.attempt_base > 0) {
-          v.push_back("--attempt-base");
-          v.push_back(std::to_string(t.attempt_base));
-        }
+      std::istringstream words(a.launcher.size() > 4 ? a.launcher.substr(4)
+                                                     : std::string());
+      for (std::string w; words >> w;) prefix.push_back(w);
+      std::error_code ec;
+      const fs::path exe = fs::read_symlink("/proc/self/exe", ec);
+      const std::string self = ec ? std::string(argv[0]) : exe.string();
+      // The child gets the forwarded flags as the user typed them, then
+      // the per-task flags.
+      auto make_argv = [self, fwd = parsed.forwarded](
+                           const sweep::LaunchTask& t) {
+        std::vector<std::string> v{self, "--quiet"};
+        v.insert(v.end(), fwd.begin(), fwd.end());
+        auto add = [&v](const char* flag, std::string value) {
+          v.push_back(flag);
+          v.push_back(std::move(value));
+        };
+        add("--jobs", std::to_string(t.engine.jobs));
+        if (t.engine.max_inflight_ranks > 0)
+          add("--ranks", std::to_string(t.engine.max_inflight_ranks));
+        if (t.engine.max_point_retries > 0)
+          add("--retries", std::to_string(t.engine.max_point_retries));
+        if (t.attempt_base > 0)
+          add("--attempt-base", std::to_string(t.attempt_base));
         if (!t.trace.empty()) {
           // Binary shard spilled next to the artifact; the coordinator
           // harvests and the parent stitches it into the campaign trace.
-          v.push_back("--trace");
-          v.push_back(t.trace);
-          if (t.trace_buf > 0) {
-            v.push_back("--trace-buf");
-            v.push_back(std::to_string(t.trace_buf));
-          }
+          add("--trace", t.trace);
+          if (t.trace_buf > 0) add("--trace-buf", std::to_string(t.trace_buf));
         }
         std::string idx;
         for (const sweep::SweepPoint& p : t.points) {
           if (!idx.empty()) idx += ',';
           idx += std::to_string(p.index);
         }
-        v.push_back("--indices");
-        v.push_back(idx);
-        v.push_back("--jsonl");
-        v.push_back(t.artifact);
-        v.push_back("--task-meta");
-        v.push_back(t.artifact + ".meta");
+        add("--indices", idx);
+        add("--jsonl", t.artifact);
+        add("--task-meta", t.artifact + ".meta");
         return v;
       };
       launcher = std::make_unique<sweep::CommandLauncher>(std::move(prefix),
@@ -840,34 +642,13 @@ int run_cli(int argc, char** argv) {
     copts.trace_buf = static_cast<std::size_t>(a.trace_buf);
     copts.resume_rows = std::move(resume_rows);
     copts.on_final_row = [&](const sweep::SweepRow& row) { store.add(row); };
-    // Service summary: the campaign counters, then whatever `more`
-    // prints.  Written to a temp file and renamed, so a watcher always
-    // reads a complete JSON document, mid-campaign too.
-    auto write_summary = [&](const sweep::CampaignProgress& p,
-                             const std::function<void(std::FILE*)>& more) {
-      const std::string tmp = a.summary_json + ".tmp";
-      std::FILE* f = std::fopen(tmp.c_str(), "w");
-      if (f == nullptr) return false;
-      std::fprintf(
-          f,
-          "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
-          "\"done\":%zu,\"failed\":%zu,"
-          "\"resumed\":%zu,\"retries\":%zu,\"steals\":%zu,\"tasks\":%zu,"
-          "\"task_retries\":%zu,\"workers\":%d,\"launcher\":\"%s\","
-          "\"steal\":%s,\"complete\":%s,\"host_cpus\":%u",
-          kSummarySchemaVersion, a.spec.c_str(), p.total, p.done, p.failed,
-          p.resumed, p.retries, p.steals, p.tasks, p.task_retries, workers,
-          launcher->name(), a.steal ? "true" : "false",
-          p.complete ? "true" : "false", std::thread::hardware_concurrency());
-      more(f);
-      std::fputs("}\n", f);
-      return std::fclose(f) == 0 &&
-             std::rename(tmp.c_str(), a.summary_json.c_str()) == 0;
+    auto summary = [&](const sweep::CampaignOutcome& c, bool finished) {
+      return Summary{c.rows.size(), c.failed, c.retries, c.resumed,
+                     finished ? &c : nullptr, &c, launcher->name()};
     };
-    sweep::CampaignProgress last;  // run_campaign ends with complete=true
-    copts.on_progress = [&](const sweep::CampaignProgress& p) {
-      last = p;
-      if (!a.summary_json.empty()) write_summary(p, [](std::FILE*) {});
+    copts.on_progress = [&](const sweep::CampaignOutcome& live) {
+      // Best effort: only the final summary's write is checked.
+      if (!a.summary_json.empty()) write_summary(a, summary(live, false));
     };
 
     sweep::CampaignOutcome outcome;
@@ -889,9 +670,8 @@ int run_cli(int argc, char** argv) {
           Log::warn("skipping unreadable trace shard %s", shard.c_str());
           continue;
         }
-        std::string task = fs::path(shard).filename().string();
-        const std::size_t dot = task.find('.');
-        if (dot != std::string::npos) task.resize(dot);
+        // "<scratch>/task-N.jsonl.trace" -> "task-N/"
+        const std::string task = fs::path(shard).stem().stem().string();
         trace::merge_into(&merged, sd, task + "/");
       }
       if (!export_trace(std::move(merged), a.trace))
@@ -914,22 +694,9 @@ int run_cli(int argc, char** argv) {
         outcome.task_retries, outcome.workers, outcome.wall_s,
         outcome.worlds_executed);
 
-    // Final summary: the live fields plus the engine aggregates that only
-    // exist once every task sidecar is in.
-    if (!a.summary_json.empty() &&
-        !write_summary(last, [&](std::FILE* f) {
-          std::fprintf(f,
-                       ",\"jobs\":%d,\"wall_s\":%.6f,\"worlds_executed\":%zu,"
-                       "\"baseline_requests\":%zu,\"baseline_computed\":%zu%s",
-                       outcome.jobs_used, outcome.wall_s,
-                       outcome.worlds_executed, outcome.baseline_requests,
-                       outcome.baseline_computed, summary_tail().c_str());
-        })) {
-      std::fprintf(stderr, "unimem_sweep: cannot write %s\n",
-                   a.summary_json.c_str());
-      return 1;
-    }
-    return outcome.failed == 0 ? 0 : 2;
+    // The final summary adds the engine aggregates that only exist once
+    // every task sidecar is in.
+    return conclude(a, summary(outcome, true));
   }
 
   // ---- engine mode: one process ------------------------------------------
@@ -968,25 +735,9 @@ int run_cli(int argc, char** argv) {
       outcome.baseline_requests - outcome.baseline_computed,
       outcome.baseline_requests);
 
-  if (!a.summary_json.empty()) {
-    std::FILE* f = std::fopen(a.summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "unimem_sweep: cannot open %s\n",
-                   a.summary_json.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\"schema_version\":%d,\"spec\":\"%s\",\"points\":%zu,"
-        "\"failed\":%zu,\"jobs\":%d,\"retries\":%zu,\"resumed\":%zu,"
-        "\"wall_s\":%.6f,\"worlds_executed\":%zu,\"baseline_requests\":%zu,"
-        "\"baseline_computed\":%zu,\"host_cpus\":%u%s}\n",
-        kSummarySchemaVersion, a.spec.c_str(), total_points, outcome.failed,
-        outcome.jobs_used, outcome.retries, resumed,
-        outcome.wall_s, outcome.worlds_executed, outcome.baseline_requests,
-        outcome.baseline_computed, std::thread::hardware_concurrency(),
-        summary_tail().c_str());
-    std::fclose(f);
-  }
-  return outcome.failed == 0 ? 0 : 2;
+  return conclude(a, {total_points, outcome.failed, outcome.retries, resumed,
+                      &outcome});
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "unimem_sweep: %s\n", e.what());
+  return 1;
 }

@@ -17,31 +17,18 @@
 // "migration" keeps every migration event, "sweep/retry" only retries.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cli.h"
 #include "core/phase_dag.h"
 #include "trace/export.h"
 
-namespace {
+namespace cli = unimem::cli;
 
-void usage(std::FILE* out) {
-  std::fputs(
-      "usage: unimem_trace FILE... [options]\n"
-      "\n"
-      "options:\n"
-      "  --json PATH     write Chrome trace-event JSON (Perfetto-loadable)\n"
-      "  --binary PATH   write the merged/filtered trace as a binary spill\n"
-      "  --summary       print a per-category/name rollup table\n"
-      "  --dag           rebuild the phase DAG from runtime/phase spans and\n"
-      "                  print per-rank slack plus the critical-path length\n"
-      "  --print         print every event as one line\n"
-      "  --filter STR    keep only events whose cat/name contains STR\n",
-      out);
-}
+namespace {
 
 struct Args {
   std::vector<std::string> inputs;
@@ -49,53 +36,32 @@ struct Args {
   bool summary = false, print = false, dag = false;
 };
 
-bool parse(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "unimem_trace: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      std::exit(0);
-    } else if (arg == "--summary") {
-      a.summary = true;
-    } else if (arg == "--dag") {
-      a.dag = true;
-    } else if (arg == "--print") {
-      a.print = true;
-    } else if (arg == "--json") {
-      const char* v = value("--json");
-      if (v == nullptr) return false;
-      a.json_out = v;
-    } else if (arg == "--binary") {
-      const char* v = value("--binary");
-      if (v == nullptr) return false;
-      a.binary_out = v;
-    } else if (arg == "--filter") {
-      const char* v = value("--filter");
-      if (v == nullptr) return false;
-      a.filter = v;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unimem_trace: unknown option '%s'\n", arg.c_str());
-      return false;
-    } else {
-      a.inputs.push_back(arg);
-    }
-  }
-  if (a.inputs.empty()) {
-    std::fprintf(stderr, "unimem_trace: no input files\n");
-    return false;
-  }
-  if (a.json_out.empty() && a.binary_out.empty() && !a.summary && !a.print &&
-      !a.dag) {
-    a.summary = true;  // bare invocation: the rollup is the useful default
-  }
-  return true;
+/// The option table: every flag of this tool, once.
+cli::Table options(Args& a) {
+  return cli::Table{
+      "unimem_trace",
+      "usage: unimem_trace FILE... [options]",
+      {
+          {"--json", "PATH",
+           "write Chrome trace-event JSON (Perfetto-loadable)",
+           cli::text(&a.json_out)},
+          {"--binary", "PATH",
+           "write the merged/filtered trace as a binary spill",
+           cli::text(&a.binary_out)},
+          {"--summary", "", "print a per-category/name rollup table",
+           cli::on(&a.summary)},
+          {"--dag", "",
+           "rebuild the phase DAG from runtime/phase spans and print per-rank "
+           "slack plus the critical-path length",
+           cli::on(&a.dag)},
+          {"--print", "", "print every event as one line", cli::on(&a.print)},
+          {"--filter", "STR", "keep only events whose cat/name contains STR",
+           cli::text(&a.filter)},
+      },
+      [&a](const char* file) {
+        a.inputs.push_back(file);
+        return true;
+      }};
 }
 
 }  // namespace
@@ -103,10 +69,16 @@ bool parse(int argc, char** argv, Args& a) {
 int main(int argc, char** argv) {
   using unimem::trace::TraceData;
   Args a;
-  if (!parse(argc, argv, a)) {
-    usage(stderr);
-    return 1;
+  const cli::Table table = options(a);
+  const cli::Result parsed = cli::parse(table, argc, argv);
+  if (parsed.help) {
+    cli::usage(table, stdout);
+    return 0;
   }
+  if (!parsed.error.empty()) return cli::reject(table, parsed.error);
+  if (a.inputs.empty()) return cli::reject(table, "no input files");
+  if (a.json_out.empty() && a.binary_out.empty() && !a.print && !a.dag)
+    a.summary = true;  // bare invocation: the rollup is the useful default
 
   TraceData data;
   bool first = true;
