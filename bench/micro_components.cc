@@ -121,6 +121,31 @@ void BM_MckpProduction(benchmark::State& state) {
 }
 BENCHMARK(BM_MckpProduction)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
+/// Shaped like the tier_ladder spec's 4-tier solves: nine
+/// equal 960 KiB chunks (135 granules in all) over {2, 8, 32} MiB, each
+/// worth less on every slower tier.  Few candidates over a large capacity
+/// product: the exact DP's answer depends on 369 of its 9 x 578,952 cells.
+void BM_MckpLadderProduction(benchmark::State& state) {
+  constexpr std::size_t kItems = 9;
+  const std::vector<std::size_t> caps = {2 * kMiB, 8 * kMiB, 32 * kMiB,
+                                         kUnbounded};
+  Rng rng(42);
+  std::vector<rt::KnapsackItem> items;
+  for (std::size_t i = 0; i < kItems; ++i) {
+    const double hot = rng.uniform(0.0, 1.0);
+    items.push_back(
+        rt::KnapsackItem{{hot, 0.6 * hot, 0.3 * hot, 0.0}, 960 * kKiB});
+  }
+  rt::KnapsackSolver solver(64 * kKiB);
+  for (auto _ : state) {
+    auto r = solver.solve(items, caps);
+    benchmark::DoNotOptimize(r.total_weight);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kItems));
+}
+BENCHMARK(BM_MckpLadderProduction)->Unit(benchmark::kMillisecond);
+
 // Adaptive re-planning (core/replan.h): the epoch-cadence choice is
 // between a full knapsack re-solve over every item — which is exactly
 // BM_KnapsackDPProduction/2048/512 above, the anchor the speedup is

@@ -5,11 +5,33 @@
 //
 // Demonstrates the whole public surface: configuring the heterogeneous
 // memory, picking a policy, and reading back Unimem's runtime statistics.
+// A bad rank count (not an integer in [1, 1024]) or an unknown workload
+// prints the usage and exits 2.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
+#include "common/cli.h"
 #include "experiments/report.h"
 #include "experiments/runner.h"
+#include "workloads/workload.h"
+
+namespace {
+
+int usage(const char* argv0) {
+  std::string names;
+  for (const std::string& n : unimem::wl::workload_names())
+    names += (names.empty() ? "" : "|") + n;
+  std::fprintf(stderr,
+               "usage: %s [workload] [class] [ranks]\n"
+               "  workload  %s (default cg)\n"
+               "  class     problem class letter (default A)\n"
+               "  ranks     integer in [1, 1024] (default 4)\n",
+               argv0, names.c_str());
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace unimem;
@@ -17,7 +39,13 @@ int main(int argc, char** argv) {
   exp::RunConfig cfg;
   cfg.workload = argc > 1 ? argv[1] : "cg";
   cfg.wcfg.cls = argc > 2 ? argv[2][0] : 'A';
-  cfg.wcfg.nranks = argc > 3 ? std::atoi(argv[3]) : 4;
+  long long ranks = 4;
+  if (argc > 3 && !cli::parse_i64(argv[3], 1, 1024, &ranks)) {
+    std::fprintf(stderr, "quickstart: ranks \"%s\" is not in [1, 1024]\n",
+                 argv[3]);
+    return usage(argv[0]);
+  }
+  cfg.wcfg.nranks = static_cast<int>(ranks);
   cfg.wcfg.iterations = 10;
   cfg.nvm_bw_ratio = 0.5;  // NVM with 1/2 DRAM bandwidth
   cfg.nvm_lat_mult = 1.0;
@@ -25,12 +53,18 @@ int main(int argc, char** argv) {
   std::printf("workload=%s class=%c ranks=%d  (NVM: 1/2 DRAM bandwidth)\n",
               cfg.workload.c_str(), cfg.wcfg.cls, cfg.wcfg.nranks);
 
-  cfg.policy = exp::Policy::kDramOnly;
-  exp::RunResult dram = exp::run_once(cfg);
-  cfg.policy = exp::Policy::kNvmOnly;
-  exp::RunResult nvm = exp::run_once(cfg);
-  cfg.policy = exp::Policy::kUnimem;
-  exp::RunResult uni = exp::run_once(cfg);
+  exp::RunResult dram, nvm, uni;
+  try {
+    cfg.policy = exp::Policy::kDramOnly;
+    dram = exp::run_once(cfg);
+    cfg.policy = exp::Policy::kNvmOnly;
+    nvm = exp::run_once(cfg);
+    cfg.policy = exp::Policy::kUnimem;
+    uni = exp::run_once(cfg);
+  } catch (const std::invalid_argument& e) {  // e.g. an unknown workload
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return usage(argv[0]);
+  }
 
   exp::Report rep("quickstart: " + cfg.workload);
   rep.set_header({"policy", "time (ms)", "normalized", "checksum"});

@@ -3,7 +3,9 @@
 //
 // Severity is filtered by the UNIMEM_LOG env var (or set_level()):
 //   names:   off | error | warn | info | debug
-//   numbers: 0=off, 1=info, 2=debug   (legacy scheme, kept for compat)
+//   numbers: 0=off, 1=info, >=2=debug   (legacy scheme, kept for compat)
+// Any other value keeps the default and says so on stderr, so a typo such
+// as `warning` cannot silence errors.
 // Default is `warn`: operational notes that previously went to stderr
 // unconditionally (torn-line drops, worker death) stay visible, but a
 // machine consumer can silence them with UNIMEM_LOG=off or keep only
@@ -14,6 +16,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+
+#include "common/cli.h"
 
 namespace unimem {
 
@@ -30,6 +35,31 @@ class Log {
   static LogLevel level() { return mutable_level(); }
 
   static void set_level(LogLevel lvl) { mutable_level() = lvl; }
+
+  /// UNIMEM_LOG's value as a level: one of the five names, or a legacy
+  /// number parsed strictly (0 = off, 1 = info, >= 2 = debug).  False, with
+  /// `out` untouched, for anything else.
+  static bool parse_level(const char* s, LogLevel* out) {
+    static constexpr struct {
+      const char* name;
+      LogLevel level;
+    } kNames[] = {{"off", LogLevel::kOff},
+                  {"error", LogLevel::kError},
+                  {"warn", LogLevel::kWarn},
+                  {"info", LogLevel::kInfo},
+                  {"debug", LogLevel::kDebug}};
+    for (const auto& n : kNames) {
+      if (std::strcmp(s, n.name) == 0) {
+        *out = n.level;
+        return true;
+      }
+    }
+    long long v = 0;
+    if (!cli::parse_i64(s, 0, std::numeric_limits<long long>::max(), &v))
+      return false;
+    *out = v == 0 ? LogLevel::kOff : v == 1 ? LogLevel::kInfo : LogLevel::kDebug;
+    return true;
+  }
 
   static bool enabled(LogLevel lvl) {
     return static_cast<int>(mutable_level()) >= static_cast<int>(lvl);
@@ -63,16 +93,13 @@ class Log {
 
   static LogLevel from_env() {
     const char* e = std::getenv("UNIMEM_LOG");
-    if (e == nullptr) return LogLevel::kWarn;
-    if (std::strcmp(e, "off") == 0) return LogLevel::kOff;
-    if (std::strcmp(e, "error") == 0) return LogLevel::kError;
-    if (std::strcmp(e, "warn") == 0) return LogLevel::kWarn;
-    if (std::strcmp(e, "info") == 0) return LogLevel::kInfo;
-    if (std::strcmp(e, "debug") == 0) return LogLevel::kDebug;
-    // Legacy numeric scheme: 0=off, 1=info, 2(+)=debug.
-    const int v = std::atoi(e);
-    if (v <= 0) return LogLevel::kOff;
-    return v == 1 ? LogLevel::kInfo : LogLevel::kDebug;
+    LogLevel lvl = LogLevel::kWarn;
+    if (e != nullptr && !parse_level(e, &lvl))
+      std::fprintf(stderr,
+                   "[unimem:warn] UNIMEM_LOG=\"%s\" is not off|error|warn|"
+                   "info|debug or a number >= 0; keeping warn\n",
+                   e);
+    return lvl;
   }
 
   template <typename... Args>

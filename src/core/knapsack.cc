@@ -121,9 +121,12 @@ std::size_t dense_row_cells(const Candidates& c) {
 /// other tier room for the item, the inner loop is the classic 0-1 row.
 /// Comparisons are strict, so ties keep the unbounded choice, then the lower
 /// tier; picks are one bit plane per open tier, replayed from the
-/// all-capacity cell.
-void dense_dp(const Candidates& c, std::size_t cells,
-              std::vector<int>* choice) {
+/// all-capacity cell.  Forced inline: compiled out of line (it has two
+/// callers), its loops ran ~20% slower at -O3 under GCC 12
+/// (BM_KnapsackDPProduction/2048/512).
+[[gnu::always_inline]] inline void dense_dp(const Candidates& c,
+                                            std::size_t cells,
+                                            std::vector<int>* choice) {
   const std::size_t n = c.item.size();
   const std::size_t m = c.tier.size();
   std::vector<std::size_t> dim(m);
@@ -201,6 +204,103 @@ void dense_dp(const Candidates& c, std::size_t cells,
   }
 }
 
+/// Whether lazy_dp pays: its cells are at most sum_{k<n} min(cells,
+/// (m+1)^k) (row n-1-k holds the cells k items can reach down from the
+/// all-capacity cell), each ~16x a dense cell's cost, against dense_dp's
+/// n x cells.  Decided from the shape alone, before anything is built.
+bool lazy_dp_pays(std::size_t n, std::size_t m, std::size_t cells) {
+  std::size_t reach = 0;
+  for (std::size_t k = 0, p = 1; k < n; ++k) {
+    reach += std::min(cells, p);
+    if (p < cells) p *= m + 1;
+  }
+  return 16 * reach <= n * cells;
+}
+
+/// The same DP as dense_dp, evaluated only on the cells the answer depends
+/// on.  Row n-1 needs the all-capacity cell; row r-1 needs row r's cells
+/// plus each one's predecessor on every tier that can take candidate r.
+/// Values are then filled bottom-up over exactly those cells with
+/// dense_dp's operands and comparisons in its order (the skip value, then
+/// tiers ascending, strict >), so choice and weights are bit-identical.
+void lazy_dp(const Candidates& c, std::size_t cells,
+             std::vector<int>* choice) {
+  const std::size_t n = c.item.size();
+  const std::size_t m = c.tier.size();
+  std::vector<std::size_t> dim(m);
+  std::vector<std::size_t> stride(m);
+  for (std::size_t j = 0, s = 1; j < m; s *= dim[j++]) {
+    dim[j] = std::min(c.cap[j], c.total_g) + 1;
+    stride[j] = s;
+  }
+  // Can candidate r go to open tier j from cell x?
+  auto fits = [&](std::size_t r, std::size_t j, std::size_t x) {
+    return c.gain[r * m + j] > 0 && x / stride[j] % dim[j] >= c.g[r];
+  };
+
+  // need[r]: ascending cells of row r the answer depends on.
+  std::vector<std::vector<std::size_t>> need(n);
+  need[n - 1].assign(1, cells - 1);
+  for (std::size_t r = n - 1; r > 0; --r) {
+    std::vector<std::size_t>& lower = need[r - 1];
+    lower = need[r];
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t mid = lower.size();
+      for (std::size_t x : need[r])  // ascending in, ascending out
+        if (fits(r, j, x)) lower.push_back(x - c.g[r] * stride[j]);
+      std::inplace_merge(lower.begin(), lower.begin() + mid, lower.end());
+    }
+    lower.erase(std::unique(lower.begin(), lower.end()), lower.end());
+  }
+
+  // pick[r][i]: the open tier candidate r takes at need[r][i], m to skip
+  // (m <= 25 fits a byte: each open tier at least doubles the cells).
+  std::vector<std::vector<unsigned char>> pick(n);
+  std::vector<double> below;  // row r-1's values over need[r-1]
+  std::vector<double> value;
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::vector<std::size_t>& cell = need[r];
+    const double* gain = &c.gain[r * m];
+    // Row r's reads walk row r-1 in ascending order, one cursor per
+    // operand; row -1 (no candidate placed yet) is 0.0 everywhere.
+    std::vector<std::size_t> cursor(m + 1, 0);
+    auto read = [&](std::size_t k, std::size_t x) {
+      if (r == 0) return 0.0;
+      const std::vector<std::size_t>& prev = need[r - 1];
+      while (prev[cursor[k]] < x) ++cursor[k];
+      return below[cursor[k]];
+    };
+    value.resize(cell.size());
+    pick[r].resize(cell.size());
+    for (std::size_t i = 0; i < cell.size(); ++i) {
+      const std::size_t x = cell[i];
+      double v = read(m, x);
+      std::size_t pk = m;
+      for (std::size_t j = 0; j < m; ++j) {
+        if (!fits(r, j, x)) continue;
+        const double with = read(j, x - c.g[r] * stride[j]) + gain[j];
+        if (with > v) {
+          v = with;
+          pk = j;
+        }
+      }
+      value[i] = v;
+      pick[r][i] = static_cast<unsigned char>(pk);
+    }
+    below.swap(value);
+  }
+
+  std::size_t x = cells - 1;
+  for (std::size_t r = n; r-- > 0;) {
+    const std::size_t i =
+        std::lower_bound(need[r].begin(), need[r].end(), x) - need[r].begin();
+    const std::size_t pk = pick[r][i];
+    if (pk == m) continue;
+    (*choice)[c.item[r]] = c.tier[pk];
+    x -= c.g[r] * stride[pk];
+  }
+}
+
 /// Bounded path: each open tier in index order packs the candidates still
 /// unassigned that it can take, greedily by gain density on the quantized
 /// sizes (the DP's capacity accounting), refined with the best single
@@ -246,6 +346,25 @@ void sum_weights(const std::vector<KnapsackItem>& items, KnapsackResult* out) {
     out->total_weight += items[i].weights[out->choice[i]];
 }
 
+using ExactDp = void (*)(const Candidates&, std::size_t, std::vector<int>*);
+
+/// One exact evaluator on the whole instance: no all-fit shortcut, no rule.
+KnapsackResult solve_exact(const std::vector<KnapsackItem>& items,
+                           const std::vector<std::size_t>& capacities,
+                           std::size_t granule, ExactDp dp) {
+  KnapsackResult out;
+  const Candidates c = prepare(items, capacities, granule, &out.choice);
+  if (!c.item.empty()) {
+    const std::size_t cells = dense_row_cells(c);
+    if (cells == 0)
+      throw std::invalid_argument(
+          "KnapsackSolver: exact DP past kDenseDpCellBudget");
+    dp(c, cells, &out.choice);
+  }
+  sum_weights(items, &out);
+  return out;
+}
+
 }  // namespace
 
 KnapsackResult KnapsackSolver::solve(
@@ -254,10 +373,14 @@ KnapsackResult KnapsackSolver::solve(
   KnapsackResult out;
   const Candidates c = prepare(items, capacities, granule_, &out.choice);
   if (!c.item.empty() && !take_best_tiers_if_all_fit(c, &out.choice)) {
-    if (const std::size_t cells = dense_row_cells(c))
-      dense_dp(c, cells, &out.choice);
-    else
+    if (const std::size_t cells = dense_row_cells(c)) {
+      if (lazy_dp_pays(c.item.size(), c.tier.size(), cells))
+        lazy_dp(c, cells, &out.choice);
+      else
+        dense_dp(c, cells, &out.choice);
+    } else {
       waterfall(c, &out.choice);
+    }
   }
   sum_weights(items, &out);
   return out;
@@ -271,5 +394,26 @@ KnapsackResult KnapsackSolver::solve_bounded(
   sum_weights(items, &out);
   return out;
 }
+
+namespace detail {
+
+KnapsackResult solve_dense_dp(const std::vector<KnapsackItem>& items,
+                              const std::vector<std::size_t>& capacities,
+                              std::size_t granule) {
+  return solve_exact(items, capacities, granule, dense_dp);
+}
+
+KnapsackResult solve_lazy_dp(const std::vector<KnapsackItem>& items,
+                             const std::vector<std::size_t>& capacities,
+                             std::size_t granule) {
+  return solve_exact(items, capacities, granule, lazy_dp);
+}
+
+bool prefers_lazy_dp(std::size_t candidates, std::size_t open_tiers,
+                     std::size_t row_cells) {
+  return lazy_dp_pays(candidates, open_tiers, row_cells);
+}
+
+}  // namespace detail
 
 }  // namespace unimem::rt

@@ -11,6 +11,11 @@
 // Sizes are quantized to a granule so the DP table stays small; past a
 // dense-cell budget a bounded path (density greedy refined with the best
 // single item, run once per constrained tier) keeps planning online.
+// Within the budget the exact DP is evaluated one of two ways with the same
+// answers: densely over every capacity cell, or lazily over only the cells
+// some subset of the candidates reaches down from the all-capacity cell —
+// few when the candidates are few and the capacities large, as on N-tier
+// ladders (Nemhauser & Ullmann's reachable states).
 #pragma once
 
 #include <cstddef>
@@ -55,8 +60,11 @@ class KnapsackSolver {
   ///     unbounded tier, and only items with a positive marginal on a
   ///     constrained tier they fit become candidates; the rest stay on
   ///     their best unbounded tier;
-  ///   - exact (dense DP) while the table fits kDenseDpCellBudget, the
-  ///     bounded path past it;
+  ///   - exact while the table fits kDenseDpCellBudget, the bounded path
+  ///     past it.  The exact DP is dense or lazy, picked by a pure rule on
+  ///     the shape (lazy iff 16 x sum_{k<n} min(cells, (m+1)^k) <= n x
+  ///     cells, n candidates, m open tiers, cells per dense row); both
+  ///     give the same choice and bit-identical total_weight;
   ///   - ties prefer the unbounded choice, then the lower tier index.
   KnapsackResult solve(const std::vector<KnapsackItem>& items,
                        const std::vector<std::size_t>& capacities) const;
@@ -74,5 +82,21 @@ class KnapsackSolver {
  private:
   std::size_t granule_;
 };
+
+/// The exact path's two evaluators and the rule solve() picks one by, for
+/// the equivalence tests only.  Each runs the exact DP on the whole instance
+/// (no all-fit shortcut, no rule) and throws std::invalid_argument past
+/// kDenseDpCellBudget; the rule takes the candidate count, the open
+/// (constrained, >= 1 granule) tier count and the dense cells per row.
+namespace detail {
+KnapsackResult solve_dense_dp(const std::vector<KnapsackItem>& items,
+                              const std::vector<std::size_t>& capacities,
+                              std::size_t granule);
+KnapsackResult solve_lazy_dp(const std::vector<KnapsackItem>& items,
+                             const std::vector<std::size_t>& capacities,
+                             std::size_t granule);
+bool prefers_lazy_dp(std::size_t candidates, std::size_t open_tiers,
+                     std::size_t row_cells);
+}  // namespace detail
 
 }  // namespace unimem::rt

@@ -1,5 +1,6 @@
-// Unit tests for the common utilities: units, RNG, and the command-line
-// layer (strict value parsers, option table, mutation fuzz over real argv).
+// Unit tests for the common utilities: units, RNG, the UNIMEM_LOG level
+// parser, and the command-line layer (strict value parsers, option table,
+// mutation fuzz over real argv).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/cli.h"
+#include "common/log.h"
 #include "common/rng.h"
 #include "common/units.h"
 
@@ -69,6 +71,32 @@ TEST(Rng, UniformInRange) {
 TEST(Rng, BelowBound) {
   Rng r(9);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(r.below(17), 17u);
+}
+
+// ---- common/log.h: UNIMEM_LOG levels ---------------------------------------
+
+TEST(LogLevel, ParsesNamesAndStrictLegacyNumbers) {
+  LogLevel l = LogLevel::kError;
+  ASSERT_TRUE(Log::parse_level("debug", &l));
+  EXPECT_EQ(l, LogLevel::kDebug);
+  ASSERT_TRUE(Log::parse_level("off", &l));
+  EXPECT_EQ(l, LogLevel::kOff);
+  ASSERT_TRUE(Log::parse_level("0", &l));
+  EXPECT_EQ(l, LogLevel::kOff);
+  ASSERT_TRUE(Log::parse_level("1", &l));
+  EXPECT_EQ(l, LogLevel::kInfo);
+  ASSERT_TRUE(Log::parse_level("2", &l));
+  EXPECT_EQ(l, LogLevel::kDebug);
+  ASSERT_TRUE(Log::parse_level("99999999999", &l));  // >= 2: debug
+  EXPECT_EQ(l, LogLevel::kDebug);
+
+  // Anything else is refused (from_env then keeps `warn`); atoi used to
+  // read "warning" and "" as 0 = off and "1x" as info.
+  l = LogLevel::kError;
+  for (const char* bad : {"warning", "", "1x", "-1", "DEBUG", " 2",
+                          "99999999999999999999"})
+    EXPECT_FALSE(Log::parse_level(bad, &l)) << '"' << bad << '"';
+  EXPECT_EQ(l, LogLevel::kError) << "a refused value must not be stored";
 }
 
 // ---- common/cli.h: strict value parsers -----------------------------------

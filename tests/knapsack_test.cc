@@ -1,10 +1,12 @@
 // Tests for the placement solver: the paper's 0-1 knapsack as the 2-tier
 // call, the multiple-choice (N-tier) generalization, exactness against brute
-// force on random instances (property tests), the dense-DP cell budget, and
-// the behavioural edge cases the planner relies on.
+// force on random instances (property tests), the dense-DP cell budget, the
+// lazy exact evaluator against the dense one, and the behavioural edge cases
+// the planner relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -449,6 +451,108 @@ TEST(Mckp, WaterfallFallbackStaysFeasibleAndUseful) {
   EXPECT_LE(used[1], caps[1]);
   EXPECT_NEAR(total, r.total_weight, 1e-9);
   EXPECT_GE(r.total_weight, floor - 1e-9);
+}
+
+// ---- the exact path's two evaluators (dense and lazy) -------------------
+
+/// Random 2-4-tier ladders, granule-aligned so mckp_brute_force is exact.
+/// Items mix the cases the tie rule and the candidate filter meet:
+/// chunk-style copies (equal sizes and weights), equal weights on two
+/// constrained tiers, zero and negative gains, and items too big for some
+/// constrained tier.
+class ExactDpEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ExactDpEquivalence, LazyMatchesDenseBitForBitAndBruteForce) {
+  constexpr std::size_t kGranule = 64;
+  Rng rng(GetParam());
+  for (int round = 0; round < 25; ++round) {
+    const std::size_t T = 2 + rng.below(3);
+    // At most 2^16 brute-force assignments per instance.
+    const std::size_t max_n = T == 2 ? 12 : T == 3 ? 10 : 8;
+    const std::size_t n = 1 + rng.below(max_n);
+    std::vector<std::size_t> caps(T, kUnbounded);
+    for (std::size_t j = 0; j + 1 < T; ++j)
+      caps[j] = kGranule * (1 + rng.below(16));
+    KnapsackItem chunk{{}, kGranule * (1 + rng.below(6))};
+    for (std::size_t j = 0; j < T; ++j)
+      chunk.weights.push_back(rng.uniform(0.0, 1.0));
+    std::vector<KnapsackItem> items;
+    for (std::size_t i = 0; i < n; ++i) {
+      KnapsackItem it = chunk;
+      switch (rng.below(5)) {
+        case 0:  // a chunk copy: ties with every other copy
+          break;
+        case 1:  // equal weights on two constrained tiers
+          it.weights[rng.below(T - 1)] = it.weights[T - 2];
+          break;
+        case 2:  // zero or negative gains over the backstop
+          for (std::size_t j = 0; j + 1 < T; ++j)
+            it.weights[j] = it.weights[T - 1] - 0.25 * rng.below(2);
+          it.weights[rng.below(T - 1)] += rng.uniform(0.0, 1.0);
+          break;
+        case 3:  // too big for some constrained tier
+          it.bytes = kGranule * (8 + rng.below(12));
+          break;
+        default:
+          for (double& w : it.weights) w = rng.uniform(-0.5, 1.0);
+          it.bytes = kGranule * (1 + rng.below(8));
+      }
+      items.push_back(std::move(it));
+    }
+    const KnapsackResult dense =
+        detail::solve_dense_dp(items, caps, kGranule);
+    const KnapsackResult lazy = detail::solve_lazy_dp(items, caps, kGranule);
+    EXPECT_EQ(lazy.choice, dense.choice) << "round " << round;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lazy.total_weight),
+              std::bit_cast<std::uint64_t>(dense.total_weight))
+        << "round " << round;
+    const double optimum = mckp_brute_force(items, caps);
+    EXPECT_NEAR(dense.total_weight, optimum, 1e-9)
+        << "round " << round << " (" << T << " tiers, " << n << " items)";
+    EXPECT_NEAR(lazy.total_weight, optimum, 1e-9)
+        << "round " << round << " (" << T << " tiers, " << n << " items)";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExactDpEquivalence,
+                         ::testing::Values(3, 11, 19, 27, 101, 2024));
+
+TEST(ExactDp, RulePicksLazyOnFewCandidatesOverLargeLadders) {
+  // A 4-tier ladder solve: 9 candidates over {32, 128, 512} granules with
+  // total_g 135, so the dense row is 33 x 129 x 136 cells.
+  EXPECT_TRUE(detail::prefers_lazy_dp(9, 3, 33 * 129 * 136));
+  // 256 candidates over {128, 512} granules (BM_MckpProduction/3) and the
+  // 2-tier production solves reach most of the table: dense.
+  EXPECT_FALSE(detail::prefers_lazy_dp(256, 2, 129 * 513));
+  EXPECT_FALSE(detail::prefers_lazy_dp(2048, 1, 513));
+}
+
+TEST(ExactDp, LadderShapedSolveMatchesBothEvaluators) {
+  // Nine 960 KiB chunks over {2, 8, 32} MiB at a 64 KiB granule, worth less
+  // on each slower rung; pairs of equal chunks tie.
+  constexpr std::size_t kKiB = 1024;
+  const std::vector<std::size_t> caps = {2048 * kKiB, 8192 * kKiB,
+                                         32768 * kKiB, kUnbounded};
+  std::vector<KnapsackItem> items;
+  for (int i = 0; i < 9; ++i) {
+    const double hot = 1.0 + static_cast<double>(i / 2);
+    items.push_back({{hot, 0.6 * hot, 0.3 * hot, 0.0}, 960 * kKiB});
+  }
+  const KnapsackSolver s(64 * kKiB);
+  const KnapsackResult r = s.solve(items, caps);
+  const KnapsackResult dense = detail::solve_dense_dp(items, caps, 64 * kKiB);
+  const KnapsackResult lazy = detail::solve_lazy_dp(items, caps, 64 * kKiB);
+  EXPECT_EQ(r.choice, dense.choice);
+  EXPECT_EQ(lazy.choice, dense.choice);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.total_weight),
+            std::bit_cast<std::uint64_t>(dense.total_weight));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(lazy.total_weight),
+            std::bit_cast<std::uint64_t>(dense.total_weight));
+  // Two chunks fit the 2 MiB rung and the other seven the 8 MiB one: the
+  // hottest chunk and one of the two tied next-hottest go fastest.
+  EXPECT_EQ(r.choice[8], 0);
+  EXPECT_EQ(std::count(r.choice.begin(), r.choice.end(), 0), 2);
+  EXPECT_EQ(std::count(r.choice.begin(), r.choice.end(), 1), 7);
 }
 
 }  // namespace
