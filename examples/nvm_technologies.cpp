@@ -2,16 +2,34 @@
 // PCRAM, ReRAM midpoints expressed as ratios of the DRAM basis) and shows
 // how Unimem narrows each gap — the "which NVM could we actually adopt?"
 // question the paper's introduction poses.
+//
+//   ./nvm_technologies [workload]
+//
+// An unknown workload prints the usage and exits 2.
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "experiments/report.h"
 #include "experiments/runner.h"
 #include "simmem/tier_config.h"
+#include "workloads/workload.h"
 
 using namespace unimem;
 
 int main(int argc, char** argv) {
-  const char* wl = argc > 1 ? argv[1] : "lu";
+  const std::string workload = argc > 1 ? argv[1] : "lu";
+  const std::vector<std::string> known = wl::workload_names();
+  if (std::find(known.begin(), known.end(), workload) == known.end()) {
+    std::string names;
+    for (const std::string& n : known) names += (names.empty() ? "" : "|") + n;
+    std::fprintf(stderr,
+                 "nvm_technologies: unknown workload \"%s\"\n"
+                 "usage: %s [workload]\n"
+                 "  workload  %s (default lu)\n",
+                 workload.c_str(), argv[0], names.c_str());
+    return 2;
+  }
 
   // Express each technology's midpoint as (bandwidth ratio, latency
   // multiple) of the DRAM basis from its Table 1 row.
@@ -19,7 +37,7 @@ int main(int argc, char** argv) {
   const mem::NvmTechnology* tech = mem::table1_technologies(&n);
   const mem::NvmTechnology& dram_row = tech[0];
 
-  exp::Report rep(std::string("NVM technologies on ") + wl +
+  exp::Report rep(std::string("NVM technologies on ") + workload +
                   " (normalized to DRAM-only)");
   rep.set_header({"technology", "BW ratio", "lat mult", "NVM-only", "Unimem"});
   for (std::size_t i = 1; i < n; ++i) {
@@ -31,7 +49,7 @@ int main(int argc, char** argv) {
     lat_mult = std::max(1.0, lat_mult);
 
     exp::RunConfig cfg;
-    cfg.workload = wl;
+    cfg.workload = workload;
     cfg.wcfg.cls = 'C';
     cfg.wcfg.nranks = 4;
     cfg.wcfg.iterations = 10;

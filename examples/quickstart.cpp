@@ -5,8 +5,8 @@
 //
 // Demonstrates the whole public surface: configuring the heterogeneous
 // memory, picking a policy, and reading back Unimem's runtime statistics.
-// A bad rank count (not an integer in [1, 1024]) or an unknown workload
-// prints the usage and exits 2.
+// A bad rank count (not an integer in [1, 1024]), a class other than
+// S, A, C or D, or an unknown workload prints the usage and exits 2.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -25,7 +25,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [workload] [class] [ranks]\n"
                "  workload  %s (default cg)\n"
-               "  class     problem class letter (default A)\n"
+               "  class     S, A, C or D (default A)\n"
                "  ranks     integer in [1, 1024] (default 4)\n",
                argv0, names.c_str());
   return 2;
@@ -38,7 +38,13 @@ int main(int argc, char** argv) {
 
   exp::RunConfig cfg;
   cfg.workload = argc > 1 ? argv[1] : "cg";
-  cfg.wcfg.cls = argc > 2 ? argv[2][0] : 'A';
+  const std::string cls = argc > 2 ? argv[2] : "A";
+  if (cls != "S" && cls != "A" && cls != "C" && cls != "D") {
+    std::fprintf(stderr, "quickstart: class \"%s\" is not S, A, C or D\n",
+                 cls.c_str());
+    return usage(argv[0]);
+  }
+  cfg.wcfg.cls = cls[0];
   long long ranks = 4;
   if (argc > 3 && !cli::parse_i64(argv[3], 1, 1024, &ranks)) {
     std::fprintf(stderr, "quickstart: ranks \"%s\" is not in [1, 1024]\n",

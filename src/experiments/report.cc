@@ -1,11 +1,6 @@
 #include "experiments/report.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <mutex>
-#include <set>
-#include <stdexcept>
 
 namespace unimem::exp {
 
@@ -31,89 +26,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-namespace {
-
-/// "" / "1" / "-" mean "append to stdout" (the historic UNIMEM_CSV
-/// behavior); anything else is a per-report file prefix.
-bool env_means_stdout(const char* v) {
-  return v[0] == '\0' || std::string(v) == "1" || std::string(v) == "-";
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw std::runtime_error("Report: cannot open " + path);
-  std::fputs(content.c_str(), f);
-  std::fclose(f);
-}
-
-}  // namespace
-
-std::string Report::slug() const {
-  if (!slug_.empty()) return slug_;
-  std::string s;
-  bool dash = false;
-  for (char c : title_) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      s += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      dash = false;
-    } else if (!s.empty() && !dash) {
-      s += '-';
-      dash = true;
-    }
-    if (s.size() >= 48) break;
-  }
-  while (!s.empty() && s.back() == '-') s.pop_back();
-  if (s.empty()) s = "report";
-
-  // Per-process uniqueness: a second report with the same title gets a
-  // numeric suffix instead of silently overwriting the first one's files.
-  static std::mutex mu;
-  static std::set<std::string> used;
-  std::lock_guard<std::mutex> lk(mu);
-  std::string candidate = s;
-  for (int n = 2; used.count(candidate) != 0; ++n)
-    candidate = s + "-" + std::to_string(n);
-  used.insert(candidate);
-  slug_ = candidate;
-  return slug_;
-}
-
-std::string Report::to_csv() const {
-  std::string out;
-  auto row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i > 0) out += ',';
-      out += cells[i];
-    }
-    out += '\n';
-  };
-  row(header_);
-  for (const auto& r : rows_) row(r);
-  return out;
-}
-
-std::string Report::to_jsonl() const {
-  std::string out;
-  for (const auto& r : rows_) {
-    out += "{\"report\":\"" + json_escape(title_) + "\"";
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      const std::string key =
-          i < header_.size() ? header_[i] : "col" + std::to_string(i);
-      out += ",\"" + json_escape(key) + "\":\"" + json_escape(r[i]) + "\"";
-    }
-    out += "}\n";
-  }
-  return out;
-}
-
-void Report::save_csv(const std::string& path) const {
-  write_file(path, to_csv());
-}
-
-void Report::save_jsonl(const std::string& path) const {
-  write_file(path, to_jsonl());
-}
-
 void Report::print(std::FILE* out) const {
   std::fprintf(out, "\n== %s ==\n", title_.c_str());
 
@@ -136,38 +48,6 @@ void Report::print(std::FILE* out) const {
     std::fprintf(out, "%s  ", std::string(width[i], '-').c_str());
   std::fputc('\n', out);
   for (const auto& r : rows_) print_row(r);
-
-  // Environment-driven side outputs are best-effort: an unwritable
-  // prefix must not abort a harness that already printed its table.
-  if (const char* csv = std::getenv("UNIMEM_CSV"); csv != nullptr) {
-    if (env_means_stdout(csv)) {
-      std::fprintf(out, "\ncsv,%s\n", title_.c_str());
-      auto csv_row = [&](const std::vector<std::string>& row) {
-        std::fputs("csv", out);
-        for (const auto& c : row) std::fprintf(out, ",%s", c.c_str());
-        std::fputc('\n', out);
-      };
-      csv_row(header_);
-      for (const auto& r : rows_) csv_row(r);
-    } else {
-      try {
-        save_csv(std::string(csv) + "-" + slug() + ".csv");
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "Report: UNIMEM_CSV: %s\n", e.what());
-      }
-    }
-  }
-  if (const char* jsonl = std::getenv("UNIMEM_JSONL"); jsonl != nullptr) {
-    if (env_means_stdout(jsonl)) {
-      std::fputs(to_jsonl().c_str(), out);
-    } else {
-      try {
-        save_jsonl(std::string(jsonl) + "-" + slug() + ".jsonl");
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "Report: UNIMEM_JSONL: %s\n", e.what());
-      }
-    }
-  }
 }
 
 }  // namespace unimem::exp

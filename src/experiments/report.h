@@ -1,17 +1,7 @@
-// Minimal fixed-width table printer for the bench binaries, so every
-// figure/table harness prints rows in the same aligned format the paper's
-// tables use.  Besides the stdout table, a report can serialize itself as
-// CSV and JSONL — either explicitly (save_csv/save_jsonl) or driven by the
-// UNIMEM_CSV / UNIMEM_JSONL environment variables at print() time:
-//
-//   UNIMEM_CSV=      (empty, "1" or "-")  csv,... lines appended to stdout
-//   UNIMEM_CSV=path/prefix                <prefix>-<title-slug>.csv
-//
-// and the same for UNIMEM_JSONL.  File names are derived per report from
-// the title slug (made unique within the process), so several reports in
-// one binary never clobber each other's files.  Concurrent *processes*
-// printing identically-titled reports still share a path — give each run
-// its own prefix (e.g. UNIMEM_CSV=out/run-$$) to separate them.
+// Minimal fixed-width table printer, so every paper figure/table prints
+// rows in the same aligned format the paper's tables use.  The sweep
+// specs' pivots (src/sweep/spec.h) build these; machine-readable output
+// is the sweep result store's CSV/JSONL, not a Report.
 #pragma once
 
 #include <cstdio>
@@ -21,7 +11,7 @@
 namespace unimem::exp {
 
 /// Minimal JSON string escaping (quotes, backslash, control chars) —
-/// shared by Report::to_jsonl and the sweep result store.
+/// shared by the sweep result store and perfbench's row writer.
 std::string json_escape(const std::string& s);
 
 class Report {
@@ -33,6 +23,10 @@ class Report {
     rows_.push_back(std::move(cells));
   }
 
+  const std::string& title() const { return title_; }
+  const std::vector<std::string>& header() const { return header_; }
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
+
   /// Format helper: fixed-precision double.
   static std::string num(double v, int prec = 2) {
     char buf[64];
@@ -40,27 +34,13 @@ class Report {
     return buf;
   }
 
-  /// Aligned table to `out`, plus any UNIMEM_CSV / UNIMEM_JSONL output.
+  /// Aligned table to `out`.
   void print(std::FILE* out = stdout) const;
-
-  /// Filesystem-safe slug of the title, unique within this process (a
-  /// repeated title gets a "-2", "-3", ... suffix on first use).
-  std::string slug() const;
-
-  /// Whole table as CSV (header + rows, comma-separated).
-  std::string to_csv() const;
-  /// One JSON object per row, keyed by header column names.
-  std::string to_jsonl() const;
-
-  /// Explicit file output (throws std::runtime_error on open failure).
-  void save_csv(const std::string& path) const;
-  void save_jsonl(const std::string& path) const;
 
  private:
   std::string title_;
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
-  mutable std::string slug_;  ///< assigned on first slug() call
 };
 
 }  // namespace unimem::exp

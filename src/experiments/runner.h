@@ -1,6 +1,6 @@
 // Experiment runner: executes one (workload, policy, system configuration)
 // combination and reports the virtual execution time and runtime stats.
-// Every bench binary in bench/ is a thin sweep over run_once().
+// Every sweep point (src/sweep/) is one run_once() call.
 //
 // Topology: ranks are threads; every `ranks_per_node` consecutive ranks
 // share one simulated node = one HeteroMemory (tier arenas) + one

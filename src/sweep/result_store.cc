@@ -280,6 +280,13 @@ SweepRow parse_jsonl_line(const std::string& line) {
   row.result.mean_overlap_percent = c.number();
   c.expect("}");
   if (!c.done()) c.fail("trailing bytes");
+  // The field readers accept more spellings than jsonl_line writes: strtod
+  // and strtoull skip spaces and signs and saturate huge values, a wide
+  // \u escape truncates to one byte, axis keys may repeat or come
+  // unsorted.  Taking only lines that write back to the same bytes keeps
+  // a resumed or merged artifact from changing silently.
+  if (SweepResultStore::jsonl_line(row) != line)
+    c.fail("not in the form jsonl_line writes");
   return row;
 }
 

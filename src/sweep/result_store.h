@@ -5,8 +5,8 @@
 // index, so consumers can re-order; the file is append-only and flushed
 // per row for liveness), while CSV — a columnar, whole-table format — is
 // written at finish() in deterministic point order.  The store can also
-// render itself as an exp::Report for the aligned-stdout-table path every
-// bench binary uses.
+// render itself as a per-point exp::Report, the stdout table of specs
+// that declare no figure pivot.
 #pragma once
 
 #include <cstddef>
@@ -69,8 +69,9 @@ class SweepResultStore {
 /// one line of the store's own JSONL output.  Exact round-trip —
 /// jsonl_line(parse_jsonl_line(l)) == l — because doubles are serialized
 /// with %.17g (shortest exact form round-trips through strtod) and axis
-/// maps serialize in sorted key order.  Only accepts the store's own
-/// format; throws std::runtime_error on malformed input.
+/// maps serialize in sorted key order.  Accepts exactly the lines
+/// jsonl_line writes (another spelling of the same row is malformed);
+/// throws std::runtime_error on malformed input.
 SweepRow parse_jsonl_line(const std::string& line);
 
 /// Read every row of a SweepResultStore JSONL file (any order); throws
@@ -96,8 +97,8 @@ std::vector<SweepRow> read_jsonl_tolerant(const std::string& path,
 std::vector<SweepRow> merge_shards(const std::vector<std::string>& paths);
 
 /// First row whose axis contains every (key, value) in `where`; nullptr
-/// when none matches.  The pivot helper the ported figure harnesses use
-/// to map grid rows back into their table cells.
+/// when none matches.  The lookup the specs' figure pivots use to map
+/// grid rows back into their table cells.
 const SweepRow* find_row(const std::vector<SweepRow>& rows,
                          const std::map<std::string, std::string>& where);
 

@@ -8,6 +8,8 @@
 #include <utility>
 
 #include "sweep/baseline_cache.h"
+#include "sweep/engine.h"
+#include "sweep/result_store.h"
 
 namespace unimem::sweep {
 
@@ -293,6 +295,31 @@ std::vector<std::string> npb(bool with_nek) {
   return w;
 }
 
+using Rows = std::vector<SweepRow>;
+
+// The cell formats the pivots share.
+std::string normalized(const SweepRow& r) {
+  return exp::Report::num(r.normalized, 2);
+}
+std::string migrations(const SweepRow& r) {
+  return std::to_string(r.result.total_migrations);
+}
+std::string overlap_pct(const SweepRow& r) {
+  return exp::Report::num(r.result.mean_overlap_percent, 1);
+}
+std::string overhead_pct(const SweepRow& r) {
+  return exp::Report::num(r.result.mean_overhead_percent, 2);
+}
+
+/// One table cell: `show` of the row whose axis matches `where`, or "n/a"
+/// when that point is missing or failed (a failure never sinks the table).
+std::string cell(const Rows& rows,
+                 const std::map<std::string, std::string>& where,
+                 std::string (*show)(const SweepRow&) = normalized) {
+  const SweepRow* r = find_row(rows, where);
+  return r != nullptr && r->ok ? show(*r) : "n/a";
+}
+
 std::vector<TechniqueSet> cumulative_techniques() {
   return {
       {"(1)global", true, false, false, false},
@@ -310,17 +337,47 @@ SweepSpec make_spec(const std::string& name) {
     s.workloads = npb(false);
     s.policies = {exp::Policy::kNvmOnly};
     s.nvm_bw_ratios = {0.5, 0.25, 0.125};
+    // Figure 2: NVM-only execution time vs NVM bandwidth (1/2, 1/4, 1/8 of
+    // DRAM), normalized to DRAM-only.  Expected shape (paper): clear slowdowns
+    // growing as bandwidth shrinks; LU among the worst (2.19x at 1/2 BW).
+    s.table = [](const SweepSpec& spec, const Rows& rows) {
+      exp::Report rep(
+          "Fig. 2: NVM-only slowdown vs bandwidth (normalized to DRAM-only)");
+      rep.set_header({"benchmark", "1/2 BW", "1/4 BW", "1/8 BW"});
+      for (const std::string& w : spec.workloads) {
+        std::vector<std::string> row{w};
+        for (const char* bw : {"0.5", "0.25", "0.125"})
+          row.push_back(cell(rows, {{"workload", w}, {"bw", bw}}));
+        rep.add_row(row);
+      }
+      return std::vector<exp::Report>{rep};
+    };
   } else if (name == "fig3") {
     s.title = "Fig. 3: NVM-only slowdown vs latency";
     s.workloads = npb(false);
     s.policies = {exp::Policy::kNvmOnly};
     s.nvm_bw_ratios = {1.0};
     s.nvm_lat_mults = {2.0, 4.0, 8.0};
+    // Figure 3: NVM-only execution time vs NVM latency (2x, 4x, 8x DRAM),
+    // normalized to DRAM-only.  Expected shape (paper): slowdowns grow with
+    // latency; LU ~2.14x already at 2x.
+    s.table = [](const SweepSpec& spec, const Rows& rows) {
+      exp::Report rep(
+          "Fig. 3: NVM-only slowdown vs latency (normalized to DRAM-only)");
+      rep.set_header({"benchmark", "2x lat", "4x lat", "8x lat"});
+      for (const std::string& w : spec.workloads) {
+        std::vector<std::string> row{w};
+        for (const char* lat : {"2", "4", "8"})
+          row.push_back(cell(rows, {{"workload", w}, {"lat", lat}}));
+        rep.add_row(row);
+      }
+      return std::vector<exp::Report>{rep};
+    };
   } else if (name == "fig4") {
     // Explicit-only spec (paper Observation 3): per-point manual DRAM
     // placements on SP, two input classes x two NVM configurations.  The
     // DRAM-only reference row is the normalization baseline itself, so it
-    // is not a point; the harness prints it as the constant 1.00.
+    // is not a point; the pivot prints it as the constant 1.00.
     s.title = "Fig. 4: SP per-object placement";
     s.workloads = {};
     struct NvmCfg {
@@ -362,11 +419,62 @@ SweepSpec make_spec(const std::string& name) {
         s.explicit_points.push_back(std::move(e));
       }
     }
+    // Figure 4: impact of per-object placement on SP.  For each NVM config
+    // (1/2 bandwidth or 4x latency) and input class, place ONE object set in
+    // DRAM (in_buffer+out_buffer, lhs, or rhs) and compare against DRAM-only
+    // and NVM-only.
+    //
+    // Expected shape (paper Observation 3): the buffers help under the
+    // bandwidth configuration but not the latency one; lhs helps under the
+    // latency configuration but not the bandwidth one; rhs helps under both.
+    s.table = [](const SweepSpec&, const Rows& rows) {
+      const std::pair<const char*, const char*> nvm_names[] = {
+          {"bw0.5", "1/2 bandwidth"}, {"lat4", "4x latency"}};
+      const std::pair<const char*, const char*> sets[] = {
+          {"in+out", "in+out buffer"}, {"lhs", "lhs"}, {"rhs", "rhs"},
+          {"nvm-only", "(NVM-only)"}};
+      std::vector<exp::Report> out;
+      for (char cls : {'C', 'D'}) {
+        for (const auto& [nvm, nvm_name] : nvm_names) {
+          exp::Report rep(std::string("Fig. 4: SP class ") + cls +
+                          ", NVM = " + nvm_name + " (normalized to DRAM-only)");
+          rep.set_header({"placement in DRAM", "normalized time"});
+          rep.add_row({"(DRAM-only)", exp::Report::num(1.0, 2)});
+          for (const auto& [placement, label] : sets)
+            rep.add_row({label, cell(rows, {{"cls", std::string(1, cls)},
+                                            {"nvm", nvm},
+                                            {"placement", placement}})});
+          out.push_back(rep);
+        }
+      }
+      return out;
+    };
   } else if (name == "fig9") {
     s.title = "Fig. 9: policies at NVM = 1/2 DRAM bandwidth";
     s.workloads = npb(true);
     s.policies = {exp::Policy::kNvmOnly, exp::Policy::kXMen,
                   exp::Policy::kUnimem};
+    // Figure 9: DRAM-only vs NVM-only vs X-Men vs Unimem, NVM at 1/2 DRAM
+    // bandwidth, six NPB kernels + Nek5000(eddy).  Expected shape (paper):
+    // average NVM-only gap ~18%; Unimem within a few percent of DRAM-only and
+    // never worse than NVM-only; Unimem ~ X-Men on NPB.
+    s.table = [](const SweepSpec& spec, const Rows& rows) {
+      exp::Report rep(
+          "Fig. 9: policies at NVM = 1/2 DRAM bandwidth (normalized to "
+          "DRAM-only)");
+      rep.set_header({"benchmark", "NVM-only", "X-Men", "Unimem", "migrations",
+                      "overlap %", "runtime cost %"});
+      for (const std::string& w : spec.workloads) {
+        const std::map<std::string, std::string> uni{{"workload", w},
+                                                     {"policy", "unimem"}};
+        rep.add_row({w, cell(rows, {{"workload", w}, {"policy", "nvm-only"}}),
+                     cell(rows, {{"workload", w}, {"policy", "xmen"}}),
+                     cell(rows, uni), cell(rows, uni, migrations),
+                     cell(rows, uni, overlap_pct),
+                     cell(rows, uni, overhead_pct)});
+      }
+      return std::vector<exp::Report>{rep};
+    };
   } else if (name == "fig10") {
     s.title = "Fig. 10: policies at NVM = 4x DRAM latency";
     s.workloads = npb(true);
@@ -374,11 +482,50 @@ SweepSpec make_spec(const std::string& name) {
                   exp::Policy::kUnimem};
     s.nvm_bw_ratios = {1.0};
     s.nvm_lat_mults = {4.0};
+    // Figure 10: DRAM-only vs NVM-only vs X-Men vs Unimem, NVM at 4x DRAM
+    // latency.  Expected shape (paper): average NVM-only gap ~47%; Unimem
+    // within ~7% of DRAM-only on average, <= 10% per benchmark.
+    s.table = [](const SweepSpec& spec, const Rows& rows) {
+      exp::Report rep(
+          "Fig. 10: policies at NVM = 4x DRAM latency (normalized to "
+          "DRAM-only)");
+      rep.set_header({"benchmark", "NVM-only", "X-Men", "Unimem"});
+      for (const std::string& w : spec.workloads)
+        rep.add_row({w, cell(rows, {{"workload", w}, {"policy", "nvm-only"}}),
+                     cell(rows, {{"workload", w}, {"policy", "xmen"}}),
+                     cell(rows, {{"workload", w}, {"policy", "unimem"}})});
+      return std::vector<exp::Report>{rep};
+    };
   } else if (name == "fig11") {
     s.title = "Fig. 11: cumulative technique ablation at NVM = 1/2 bandwidth";
     s.workloads = npb(true);
     s.policies = {exp::Policy::kNvmOnly, exp::Policy::kUnimem};
     s.techniques = cumulative_techniques();
+    // Figure 11: contribution of the four techniques, applied cumulatively:
+    //   (1) cross-phase global search
+    //   (2) + phase-local search
+    //   (3) + partitioning large data objects (chunking)
+    //   (4) + initial data placement
+    // NVM at 1/2 DRAM bandwidth.  Expected shape (paper): global search
+    // dominates CG/LU; local search adds for BT/SP; chunking only helps FT;
+    // initial placement helps everywhere (87% of SP's gain).
+    s.table = [](const SweepSpec& spec, const Rows& rows) {
+      exp::Report rep(
+          "Fig. 11: cumulative technique ablation at NVM = 1/2 bandwidth "
+          "(normalized to DRAM-only; lower is better)");
+      rep.set_header({"benchmark", "NVM-only", "(1) global", "(1)+(2) local",
+                      "+(3) chunking", "+(4) initial"});
+      for (const std::string& w : spec.workloads) {
+        std::vector<std::string> row{
+            w, cell(rows, {{"workload", w}, {"policy", "nvm-only"}})};
+        for (const TechniqueSet& tech : spec.techniques)
+          row.push_back(cell(
+              rows,
+              {{"workload", w}, {"policy", "unimem"}, {"tech", tech.name}}));
+        rep.add_row(row);
+      }
+      return std::vector<exp::Report>{rep};
+    };
   } else if (name == "fig12") {
     // Explicit-only spec: CG strong scaling varies `nranks` per row
     // (2/4/8/16), NUMA-emulated NVM (0.6x bandwidth, 1.89x latency).
@@ -402,11 +549,50 @@ SweepSpec make_spec(const std::string& name) {
         s.explicit_points.push_back(std::move(e));
       }
     }
+    // Figure 12: CG strong scaling (the paper's Edison runs, class D input,
+    // NUMA-emulated NVM = 0.6x DRAM bandwidth + 1.89x DRAM latency).
+    // Expected shape (paper): Unimem stays within ~7% of DRAM-only at every
+    // scale while NVM-only keeps a visible gap; per-rank data shrinks with
+    // scale, shifting object sensitivities.
+    s.table = [](const SweepSpec&, const Rows& rows) {
+      exp::Report rep(
+          "Fig. 12: CG strong scaling, NUMA-emulated NVM (normalized to "
+          "DRAM-only)");
+      rep.set_header({"ranks", "NVM-only", "Unimem", "Unimem migrations"});
+      for (int ranks : {2, 4, 8, 16}) {
+        const std::string r = std::to_string(ranks);
+        rep.add_row({r, cell(rows, {{"ranks", r}, {"policy", "nvm-only"}}),
+                     cell(rows, {{"ranks", r}, {"policy", "unimem"}}),
+                     cell(rows, {{"ranks", r}, {"policy", "unimem"}},
+                          migrations)});
+      }
+      return std::vector<exp::Report>{rep};
+    };
   } else if (name == "fig13") {
     s.title = "Fig. 13: Unimem vs DRAM size at NVM = 1/2 bandwidth";
     s.workloads = npb(true);
     s.policies = {exp::Policy::kNvmOnly, exp::Policy::kUnimem};
     s.dram_capacities = {4 * kMiB, 8 * kMiB, 16 * kMiB};
+    // Figure 13: Unimem sensitivity to the DRAM size (128 / 256 / 512 MB in
+    // the paper = 4 / 8 / 16 MiB scaled), NVM = 1/2 DRAM bandwidth.
+    // Expected shape (paper): within ~7% of DRAM-only everywhere except MG at
+    // the smallest DRAM (13%), whose large aliased objects cannot be placed or
+    // chunked — yet still ~35% of the NVM gap is closed.
+    s.table = [](const SweepSpec& spec, const Rows& rows) {
+      exp::Report rep(
+          "Fig. 13: Unimem vs DRAM size (normalized to DRAM-only; paper sizes "
+          "128/256/512 MB = 4/8/16 MiB scaled)");
+      rep.set_header({"benchmark", "NVM-only", "4 MiB", "8 MiB", "16 MiB"});
+      for (const std::string& w : spec.workloads) {
+        std::vector<std::string> row{
+            w, cell(rows, {{"workload", w}, {"policy", "nvm-only"}})};
+        for (const char* dram : {"4MiB", "8MiB", "16MiB"})
+          row.push_back(cell(
+              rows, {{"workload", w}, {"policy", "unimem"}, {"dram", dram}}));
+        rep.add_row(row);
+      }
+      return std::vector<exp::Report>{rep};
+    };
   } else if (name == "replan_drift") {
     // Dynamic-workload scenario (not a paper figure): every point runs
     // with seeded per-phase weight drift injected (wl::DriftSchedule), and
@@ -480,9 +666,8 @@ SweepSpec make_spec(const std::string& name) {
     // per-phase migration churn, which is exactly where parking the copy
     // trigger in an earlier slack-covered phase (or, failing that, at the
     // earliest legal trigger with the maximal overlap window) hides copy
-    // time that the JIT trigger walk leaves exposed.  The harness and the
-    // dag-smoke CI lane read exposed/hidden splits off the in-memory
-    // RunResult rows.
+    // time that the JIT trigger walk leaves exposed.  The pivot reads the
+    // exposed/hidden splits off the in-memory RunResult rows.
     s.title = "Phase-DAG slack scheduling: exposed vs hidden migration time";
     s.workloads = {"nek", "lu"};
     s.policies = {exp::Policy::kUnimem};
@@ -490,6 +675,55 @@ SweepSpec make_spec(const std::string& name) {
     s.dram_capacities = {1 * kMiB, 2 * kMiB, 4 * kMiB};
     s.dag_schedules = {rt::DagSchedule::kOff, rt::DagSchedule::kSlack};
     s.normalize = false;
+    // For each (workload, dram) cell the table reports the virtual time of
+    // both modes, the exposed (critical-path) migration time of both, the
+    // fraction of copy time slack mode hides, and the critical-path length
+    // of the last phase DAG.
+    // Expected shape: slack's exposed time is strictly lower than off's on the
+    // tight-DRAM cells, with >= 50% of the copy time hidden on at least one.
+    s.table = [](const SweepSpec& spec, const Rows& rows) {
+      exp::Report rep(
+          "Phase-DAG slack scheduling: hidden vs exposed migration time");
+      rep.set_header({"workload", "dram", "time off (s)", "time slack (s)",
+                      "exposed off (s)", "exposed slack (s)", "hidden frac",
+                      "crit path (s)"});
+      for (const std::string& w : spec.workloads) {
+        for (std::size_t dram : spec.dram_capacities) {
+          std::map<std::string, std::string> off{{"workload", w},
+                                                 {"dag", "off"}};
+          std::map<std::string, std::string> slack{{"workload", w},
+                                                   {"dag", "slack"}};
+          const std::string dram_label = std::to_string(dram / kMiB) + "MiB";
+          if (spec.dram_capacities.size() > 1) {
+            off["dram"] = dram_label;
+            slack["dram"] = dram_label;
+          }
+          auto time = [](const SweepRow& r) {
+            return exp::Report::num(r.result.time_s, 4);
+          };
+          auto exposed = [](const SweepRow& r) {
+            return exp::Report::num(r.result.total_exposed_s, 4);
+          };
+          rep.add_row(
+              {w, dram_label, cell(rows, off, time), cell(rows, slack, time),
+               cell(rows, off, exposed), cell(rows, slack, exposed),
+               cell(rows, slack,
+                    [](const SweepRow& r) {
+                      const double copy = r.result.total_copy_s;
+                      return copy > 0
+                                 ? exp::Report::num(
+                                       (copy - r.result.total_exposed_s) /
+                                           copy,
+                                       2)
+                                 : "n/a";
+                    }),
+               cell(rows, slack, [](const SweepRow& r) {
+                 return exp::Report::num(r.result.dag_critical_path_s, 4);
+               })});
+        }
+      }
+      return std::vector<exp::Report>{rep};
+    };
   } else if (name == "tier_sensitivity3") {
     // Fig. 13-style sensitivity on a 3-tier machine (not a paper figure):
     // HBM+DRAM+NVM ladders whose fast-tier allowances scale together, so
@@ -517,11 +751,34 @@ SweepSpec make_spec(const std::string& name) {
                     "hbm:2MiB,dram:8MiB,cxl:32MiB,nvm:512MiB"};
   } else if (name == "table4") {
     // Raw migration statistics (not normalized): one Unimem point per
-    // workload at NVM = 1/2 bandwidth; the harness reads the row's
-    // RunResult stats directly.
+    // workload at NVM = 1/2 bandwidth; the pivot reads the row's RunResult
+    // stats directly.
     s.title = "Table 4: migration details at NVM = 1/2 DRAM bandwidth";
     s.workloads = npb(true);
     s.normalize = false;
+    // Table 4: data-migration details for HMS with Unimem (NVM = 1/2 DRAM
+    // bandwidth): number of migrations, migrated data size, pure runtime cost,
+    // and the share of migration time overlapped with computation.
+    // Expected shape (paper): runtime cost < 3% everywhere; overlap typically
+    // 60-100%; BT and Nek migrate far more than CG/LU/MG.
+    s.table = [](const SweepSpec& spec, const Rows& rows) {
+      exp::Report rep("Table 4: migration details (NVM = 1/2 DRAM bandwidth)");
+      rep.set_header({"benchmark", "migrations", "migrated (MB)",
+                      "pure runtime cost %", "% overlap"});
+      for (const std::string& w : spec.workloads) {
+        const std::map<std::string, std::string> where{{"workload", w}};
+        rep.add_row(
+            {w, cell(rows, where, migrations),
+             cell(rows, where,
+                  [](const SweepRow& r) {
+                    return exp::Report::num(
+                        static_cast<double>(r.result.total_bytes_moved) / 1e6,
+                        1);
+                  }),
+             cell(rows, where, overhead_pct), cell(rows, where, overlap_pct)});
+      }
+      return std::vector<exp::Report>{rep};
+    };
   }
   return s;
 }

@@ -1,8 +1,7 @@
 // Sweep specifications: a declarative grid over exp::RunConfig axes that
 // expands into a deterministic, stably-indexed list of executable points.
 //
-// A SweepSpec is the batch-service twin of the hand-rolled loops the
-// figure harnesses used to carry: it names the axes (workloads, policies,
+// A SweepSpec names the axes of one batch (workloads, policies,
 // NVM bandwidth/latency ratios, DRAM capacities, ranks-per-node, Unimem
 // technique sets) and the shared scalars (input class, iterations, rank
 // count, network), and expand() produces the cartesian product in
@@ -10,9 +9,10 @@
 // label, and its axis values by name so result consumers can pivot rows
 // into figure-shaped tables without re-deriving the expansion order.
 //
-// The named-spec registry (specs(), spec_by_name()) is shared between the
-// `unimem_sweep` CLI and the ported bench harnesses, so "the fig13 sweep"
-// means exactly one thing everywhere.
+// The named-spec registry (spec_names(), spec_by_name()) is the one
+// definition of each paper sweep: a paper spec also declares its table
+// pivot (SweepSpec::table), which `unimem_sweep --spec NAME` prints, so
+// "the fig13 sweep" and "the Fig. 13 table" mean one thing everywhere.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "experiments/report.h"
 #include "experiments/runner.h"
 
 namespace unimem::sweep {
+
+struct SweepRow;
 
 /// A named set of Unimem technique switches (Fig. 11's cumulative
 /// ablation axis).  Applied to RunConfig::unimem for kUnimem points only;
@@ -111,6 +114,14 @@ struct SweepSpec {
   };
   std::vector<ExplicitPoint> explicit_points;
 
+  /// The paper's table(s) pivoted from this spec's rows, or null for a
+  /// spec that is not a paper figure.  Cells are looked up by axis values;
+  /// a missing or failed point renders "n/a".  Some pivots read
+  /// in-memory-only RunResult fields, so they want rows the engine just
+  /// ran, not JSONL round trips.
+  std::vector<exp::Report> (*table)(const SweepSpec&,
+                                    const std::vector<SweepRow>&) = nullptr;
+
   /// Expand to the deterministic point list.  `filter`, when non-empty,
   /// keeps only points whose label contains it (indices stay those of the
   /// unfiltered expansion, so a filtered run still reports stable ids).
@@ -139,9 +150,9 @@ struct SweepSpec {
 std::vector<SweepPoint> shard_slice(const std::vector<SweepPoint>& points,
                                     int shard, int nshards);
 
-/// Shrink a spec to smoke scale (class S, <=3 iterations, <=2 ranks) —
-/// the SweepSpec twin of bench::smoke().  Applied by the CLI and the
-/// ported harnesses when UNIMEM_BENCH_SMOKE is set in the environment.
+/// Shrink a spec to smoke scale (class S, <=3 iterations, <=2 ranks).
+/// Applied by the CLI when UNIMEM_BENCH_SMOKE is set in the environment
+/// or --smoke is given.
 SweepSpec smoke_clamped(SweepSpec spec);
 
 /// True when UNIMEM_BENCH_SMOKE is set (any value, even empty).

@@ -2,23 +2,26 @@
 // filtering, smoke clamp), baseline memoization (key coverage,
 // single-flight under concurrency), engine semantics (deterministic
 // ordering, rank-bounded admission liveness, failure isolation), result
-// serialization (JSONL/CSV), and the determinism regression the ISSUE
-// demands: the same spec run with 1 and 8 jobs produces bitwise-identical
-// time_s/checksum per point.
+// serialization (JSONL/CSV, a mutation fuzz of the JSONL readers), the
+// paper specs' figure pivots, and the determinism regression: the same
+// spec run with 1 and 8 jobs produces bitwise-identical time_s/checksum
+// per point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "experiments/report.h"
 #include "sweep/baseline_cache.h"
 #include "sweep/engine.h"
@@ -979,65 +982,368 @@ TEST(SweepResultStore, FindRowMatchesAxisSubsets) {
   EXPECT_EQ(find_row(rows, {{"no-such-axis", "x"}}), nullptr);
 }
 
-// ---- exp::Report serialization (the satellite this PR adds) ---------------
+// Mutated store lines either fail with std::runtime_error or parse to a row
+// that re-serializes to exactly the mutated bytes: a reader that accepts a
+// line it cannot write back would let --resume or --merge silently change
+// an artifact.  The seeds are real jsonl_line output for the three row
+// shapes: ok and normalized, failed with an escaped error, unnormalized.
+TEST(SweepResultStore, JsonlMutationFuzzRejectsOrRoundTrips) {
+  SweepRow failed = make_row(7, false);
+  failed.error += "\nsecond line\tand tab \x01";
+  SweepRow raw = make_row(12, true);
+  raw.baseline_time_s = 0;
+  raw.normalized = 0;
+  raw.result.total_migrations = 18;
+  raw.result.total_bytes_moved = 123456789;
+  raw.result.mean_overhead_percent = 1.0 / 3.0;
+  raw.result.mean_overlap_percent = 62.5;
+  const std::vector<std::string> seeds{
+      SweepResultStore::jsonl_line(make_row(3, true)),
+      SweepResultStore::jsonl_line(failed), SweepResultStore::jsonl_line(raw)};
+  const char* huge[] = {"18446744073709551616", "99999999999999999999999",
+                        "-1",  "1e999", "-1e999", "nan", "inf", "0x10",
+                        "+3", " 3", "007", "1.50", "4.9e-324"};
 
-TEST(Report, CsvAndJsonlSerialization) {
-  exp::Report rep("Sweep Report: unit");
-  rep.set_header({"benchmark", "value"});
-  rep.add_row({"cg", "1.25"});
-  rep.add_row({"ft", "2.50"});
-  EXPECT_EQ(rep.to_csv(), "benchmark,value\ncg,1.25\nft,2.50\n");
-  const std::string jsonl = rep.to_jsonl();
-  EXPECT_NE(jsonl.find("{\"report\":\"Sweep Report: unit\",\"benchmark\":"
-                       "\"cg\",\"value\":\"1.25\"}"),
-            std::string::npos);
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
-}
+  Rng rng(20171112);
+  auto mutate = [&](std::string b) {
+    const int rounds = 1 + static_cast<int>(rng.below(3));
+    for (int r = 0; r < rounds && !b.empty(); ++r) {
+      switch (rng.below(4)) {
+        case 0:  // bit flips
+          for (int k = 1 + static_cast<int>(rng.below(4)); k > 0; --k)
+            b[rng.below(b.size())] ^= static_cast<char>(1u << rng.below(8));
+          break;
+        case 1:  // truncation
+          b.resize(rng.below(b.size()));
+          break;
+        case 2: {  // splice: a chunk of some seed over a random offset
+          const std::string& src = seeds[rng.below(seeds.size())];
+          const std::size_t from = rng.below(src.size());
+          const std::size_t len = 1 + rng.below(src.size() - from);
+          const std::size_t to = rng.below(b.size());
+          b = b.substr(0, to) + src.substr(from, len) +
+              (rng.below(2) == 0 ? b.substr(std::min(b.size(), to + len))
+                                 : b.substr(to));
+          break;
+        }
+        default: {  // a huge or non-canonical number over a digit run
+          std::size_t at = rng.below(b.size());
+          while (at < b.size() && std::isdigit(static_cast<unsigned char>(
+                                      b[at])) == 0)
+            ++at;
+          std::size_t end = at;
+          while (end < b.size() &&
+                 std::isdigit(static_cast<unsigned char>(b[end])) != 0)
+            ++end;
+          b = b.substr(0, at) + huge[rng.below(std::size(huge))] +
+              b.substr(end);
+          break;
+        }
+      }
+    }
+    return b;
+  };
 
-TEST(Report, SlugsAreFilesystemSafeAndUniquePerProcess) {
-  exp::Report a("Fig. X: some sweep (1/2 BW)");
-  EXPECT_EQ(a.slug(), "fig-x-some-sweep-1-2-bw");
-  EXPECT_EQ(a.slug(), a.slug()) << "stable per report";
-  exp::Report b("Fig. X: some sweep (1/2 BW)");
-  EXPECT_EQ(b.slug(), "fig-x-some-sweep-1-2-bw-2") << "no clobbering";
-}
-
-TEST(Report, EnvDrivenPerReportFiles) {
-  const std::string dir = ::testing::TempDir();
-  const std::string prefix = dir + "/report_env_test";
-  ASSERT_EQ(setenv("UNIMEM_CSV", prefix.c_str(), 1), 0);
-  ASSERT_EQ(setenv("UNIMEM_JSONL", prefix.c_str(), 1), 0);
-  std::FILE* sink = std::fopen("/dev/null", "w");
-  ASSERT_NE(sink, nullptr);
-  {
-    exp::Report rep("Env Report One");
-    rep.set_header({"k"});
-    rep.add_row({"v1"});
-    rep.print(sink);
-    exp::Report rep2("Env Report Two");
-    rep2.set_header({"k"});
-    rep2.add_row({"v2"});
-    rep2.print(sink);
+  std::size_t accepted = 0, rejected = 0;
+  for (int m = 0; m < 4000; ++m) {
+    const std::string line = mutate(seeds[rng.below(seeds.size())]);
+    try {
+      const SweepRow row = parse_jsonl_line(line);
+      ++accepted;
+      EXPECT_EQ(SweepResultStore::jsonl_line(row), line) << "accepted mutant";
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
   }
-  std::fclose(sink);
-  unsetenv("UNIMEM_CSV");
-  unsetenv("UNIMEM_JSONL");
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u) << "some bit flips land in label/axis text";
 
-  // Two reports, four files, nobody overwrote anybody.
-  std::ifstream c1(prefix + "-env-report-one.csv");
-  std::ifstream c2(prefix + "-env-report-two.csv");
-  std::ifstream j1(prefix + "-env-report-one.jsonl");
-  std::ifstream j2(prefix + "-env-report-two.jsonl");
-  ASSERT_TRUE(c1.good());
-  ASSERT_TRUE(c2.good());
-  ASSERT_TRUE(j1.good());
-  ASSERT_TRUE(j2.good());
-  std::stringstream ss;
-  ss << c1.rdbuf();
-  EXPECT_EQ(ss.str(), "k\nv1\n");
-  ss.str("");
-  ss << j2.rdbuf();
-  EXPECT_NE(ss.str().find("\"k\":\"v2\""), std::string::npos);
+  // The crash-tolerant reader over whole files: every row it returns is
+  // one of the file's lines written back exactly.
+  const std::string path = ::testing::TempDir() + "/jsonl_fuzz_mutant.jsonl";
+  const std::string clean = seeds[0] + "\n" + seeds[1] + "\n" + seeds[2] + "\n";
+  for (int m = 0; m < 1000; ++m) {
+    const std::string file = mutate(clean);
+    { std::ofstream(path, std::ios::binary) << file; }
+    std::set<std::string> lines;
+    std::istringstream in(file);
+    for (std::string l; std::getline(in, l);) lines.insert(l);
+    try {
+      std::size_t dropped = 0;
+      for (const SweepRow& row : read_jsonl_tolerant(path, &dropped))
+        EXPECT_EQ(lines.count(SweepResultStore::jsonl_line(row)), 1u)
+            << "row not written back as one of the file's lines";
+      EXPECT_LE(dropped, 1u);
+    } catch (const std::runtime_error&) {
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// ---- figure pivots (SweepSpec::table) -------------------------------------
+
+/// An ok row for `p` in which every field a pivot shows is a distinct
+/// function of the point index, so a cell that lands in the wrong row or
+/// column shows the wrong number.
+SweepRow pivot_row(const SweepPoint& p) {
+  const double i = static_cast<double>(p.index);
+  SweepRow r;
+  r.index = p.index;
+  r.label = p.label;
+  r.axis = p.axis;
+  r.ok = true;
+  r.baseline_time_s = 1;
+  r.normalized = 1 + i;
+  r.result.total_migrations = 1000 + p.index;
+  r.result.total_bytes_moved = (2000 + p.index) * 1000000;
+  r.result.mean_overhead_percent = 3000 + i;
+  r.result.mean_overlap_percent = 4000 + i;
+  r.result.time_s = 5000 + i;
+  r.result.total_exposed_s = 6000 + i;
+  r.result.total_copy_s = (6000 + i) / (0.99 - 0.01 * i);  // hides (i+1)%
+  r.result.dag_critical_path_s = 7000 + i;
+  return r;
+}
+
+using Show = std::string (*)(const SweepRow&);
+std::string norm(const SweepRow& r) { return exp::Report::num(r.normalized); }
+std::string migrations(const SweepRow& r) {
+  return std::to_string(r.result.total_migrations);
+}
+std::string overlap(const SweepRow& r) {
+  return exp::Report::num(r.result.mean_overlap_percent, 1);
+}
+std::string overhead(const SweepRow& r) {
+  return exp::Report::num(r.result.mean_overhead_percent, 2);
+}
+std::string megabytes(const SweepRow& r) {
+  return exp::Report::num(static_cast<double>(r.result.total_bytes_moved) / 1e6,
+                          1);
+}
+std::string time4(const SweepRow& r) {
+  return exp::Report::num(r.result.time_s, 4);
+}
+std::string exposed4(const SweepRow& r) {
+  return exp::Report::num(r.result.total_exposed_s, 4);
+}
+std::string hidden(const SweepRow& r) {
+  return exp::Report::num(
+      (r.result.total_copy_s - r.result.total_exposed_s) / r.result.total_copy_s,
+      2);
+}
+std::string crit4(const SweepRow& r) {
+  return exp::Report::num(r.result.dag_critical_path_s, 4);
+}
+
+/// One expected table cell: table `table`, the row whose leading cells are
+/// `key`, the column headed `column`, showing `show` of the point labeled
+/// `label` — or `constant` when `show` is null.
+struct PivotCell {
+  std::size_t table;
+  std::vector<std::string> key;
+  std::string column;
+  std::string label;
+  Show show = nullptr;
+  std::string constant{};
+};
+
+/// Renders the named spec's pivot over pivot_row()s and checks every cell,
+/// then again with the first shown point missing and the second failed
+/// (both must read "n/a").  Every cell of every table must be a key cell
+/// or an expected cell.
+void expect_pivot(const std::string& name, const std::vector<PivotCell>& cells) {
+  SCOPED_TRACE(name);
+  const SweepSpec spec = *spec_by_name(name);
+  ASSERT_NE(spec.table, nullptr);
+  std::vector<SweepRow> rows;
+  for (const SweepPoint& p : spec.expand()) rows.push_back(pivot_row(p));
+  auto row_of = [&](const std::string& label) -> const SweepRow* {
+    for (const SweepRow& r : rows)
+      if (r.label == label) return &r;
+    return nullptr;
+  };
+  std::string missing, failed;
+  for (const PivotCell& c : cells) {
+    if (c.show == nullptr) continue;
+    ASSERT_NE(row_of(c.label), nullptr) << "no point labeled " << c.label;
+    if (missing.empty()) missing = c.label;
+    if (failed.empty() && c.label != missing) failed = c.label;
+  }
+  ASSERT_FALSE(failed.empty());
+
+  for (bool damaged : {false, true}) {
+    SCOPED_TRACE(damaged ? "missing + failed rows" : "all rows ok");
+    std::vector<SweepRow> input;
+    for (SweepRow r : rows) {
+      if (damaged && r.label == missing) continue;
+      if (damaged && r.label == failed) {
+        r.ok = false;
+        r.error = "boom";
+      }
+      input.push_back(r);
+    }
+    const std::vector<exp::Report> tables = spec.table(spec, input);
+    std::set<std::tuple<std::size_t, std::size_t, std::size_t>> covered;
+    for (const PivotCell& c : cells) {
+      ASSERT_LT(c.table, tables.size());
+      const exp::Report& t = tables[c.table];
+      const auto& header = t.header();
+      const auto col = std::find(header.begin(), header.end(), c.column);
+      ASSERT_NE(col, header.end()) << "no column " << c.column;
+      std::size_t found = 0, at = 0;
+      for (std::size_t i = 0; i < t.rows().size(); ++i)
+        if (std::equal(c.key.begin(), c.key.end(), t.rows()[i].begin())) {
+          ++found;
+          at = i;
+        }
+      ASSERT_EQ(found, 1u) << "row " << c.key[0] << " in " << t.title();
+      const std::size_t ci = static_cast<std::size_t>(col - header.begin());
+      const std::string want =
+          c.show == nullptr ? c.constant
+          : damaged && (c.label == missing || c.label == failed)
+              ? "n/a"
+              : c.show(*row_of(c.label));
+      EXPECT_EQ(t.rows()[at][ci], want)
+          << t.title() << " / " << c.key[0] << " / " << c.column;
+      covered.insert({c.table, at, ci});
+      for (std::size_t k = 0; k < c.key.size(); ++k)
+        covered.insert({c.table, at, k});
+    }
+    std::size_t total = 0;
+    for (const exp::Report& t : tables)
+      for (const auto& r : t.rows()) {
+        EXPECT_EQ(r.size(), t.header().size()) << t.title();
+        total += r.size();
+      }
+    EXPECT_EQ(covered.size(), total) << "cells no expectation accounts for";
+  }
+}
+
+const std::vector<std::string> kNpb{"cg", "ft", "bt", "lu", "sp", "mg"};
+const std::vector<std::string> kNpbNek{"cg", "ft", "bt", "lu",
+                                       "sp", "mg", "nek"};
+
+TEST(SweepPivot, Fig2AndFig3) {
+  std::vector<PivotCell> fig2, fig3;
+  for (const std::string& w : kNpb) {
+    for (const auto& [col, bw] : {std::pair{"1/2 BW", "0.5"},
+                                  {"1/4 BW", "0.25"}, {"1/8 BW", "0.125"}})
+      fig2.push_back({0, {w}, col, w + "/nvm-only/bw" + bw, norm});
+    for (const auto& [col, lat] :
+         {std::pair{"2x lat", "2"}, {"4x lat", "4"}, {"8x lat", "8"}})
+      fig3.push_back({0, {w}, col, w + "/nvm-only/lat" + lat, norm});
+  }
+  expect_pivot("fig2", fig2);
+  expect_pivot("fig3", fig3);
+}
+
+TEST(SweepPivot, Fig4KeepsTheConstantDramOnlyRow) {
+  std::vector<PivotCell> cells;
+  std::size_t table = 0;
+  for (const std::string cls : {"C", "D"}) {
+    for (const std::string nvm : {"bw0.5", "lat4"}) {
+      const std::string manual = "sp/manual/cls" + cls + "/" + nvm + "/";
+      cells.push_back(
+          {table, {"(DRAM-only)"}, "normalized time", "", nullptr, "1.00"});
+      for (const auto& [row, set] : {std::pair{"in+out buffer", "in+out"},
+                                     {"lhs", "lhs"}, {"rhs", "rhs"}})
+        cells.push_back({table, {row}, "normalized time", manual + set, norm});
+      cells.push_back({table, {"(NVM-only)"}, "normalized time",
+                       "sp/nvm-only/cls" + cls + "/" + nvm, norm});
+      ++table;
+    }
+  }
+  expect_pivot("fig4", cells);
+}
+
+TEST(SweepPivot, Fig9AndFig10) {
+  std::vector<PivotCell> fig9, fig10;
+  for (const std::string& w : kNpbNek) {
+    for (auto* cells : {&fig9, &fig10}) {
+      cells->push_back({0, {w}, "NVM-only", w + "/nvm-only", norm});
+      cells->push_back({0, {w}, "X-Men", w + "/xmen", norm});
+      cells->push_back({0, {w}, "Unimem", w + "/unimem", norm});
+    }
+    fig9.push_back({0, {w}, "migrations", w + "/unimem", migrations});
+    fig9.push_back({0, {w}, "overlap %", w + "/unimem", overlap});
+    fig9.push_back({0, {w}, "runtime cost %", w + "/unimem", overhead});
+  }
+  expect_pivot("fig9", fig9);
+  expect_pivot("fig10", fig10);
+}
+
+TEST(SweepPivot, Fig11) {
+  std::vector<PivotCell> cells;
+  for (const std::string& w : kNpbNek) {
+    cells.push_back({0, {w}, "NVM-only", w + "/nvm-only", norm});
+    for (const auto& [col, tech] :
+         {std::pair{"(1) global", "(1)global"},
+          {"(1)+(2) local", "(1)+(2)local"},
+          {"+(3) chunking", "+(3)chunking"},
+          {"+(4) initial", "+(4)initial"}})
+      cells.push_back({0, {w}, col, w + "/unimem/tech" + tech, norm});
+  }
+  expect_pivot("fig11", cells);
+}
+
+TEST(SweepPivot, Fig12) {
+  std::vector<PivotCell> cells;
+  for (const std::string r : {"2", "4", "8", "16"}) {
+    cells.push_back({0, {r}, "NVM-only", "cg/nvm-only/r" + r, norm});
+    cells.push_back({0, {r}, "Unimem", "cg/unimem/r" + r, norm});
+    cells.push_back({0, {r}, "Unimem migrations", "cg/unimem/r" + r,
+                     migrations});
+  }
+  expect_pivot("fig12", cells);
+}
+
+TEST(SweepPivot, Fig13) {
+  std::vector<PivotCell> cells;
+  for (const std::string& w : kNpbNek) {
+    cells.push_back({0, {w}, "NVM-only", w + "/nvm-only", norm});
+    for (const std::string d : {"4", "8", "16"})
+      cells.push_back(
+          {0, {w}, d + " MiB", w + "/unimem/dram" + d + "MiB", norm});
+  }
+  expect_pivot("fig13", cells);
+}
+
+TEST(SweepPivot, Table4) {
+  std::vector<PivotCell> cells;
+  for (const std::string& w : kNpbNek) {
+    const std::string uni = w + "/unimem";
+    cells.push_back({0, {w}, "migrations", uni, migrations});
+    cells.push_back({0, {w}, "migrated (MB)", uni, megabytes});
+    cells.push_back({0, {w}, "pure runtime cost %", uni, overhead});
+    cells.push_back({0, {w}, "% overlap", uni, overlap});
+  }
+  expect_pivot("table4", cells);
+}
+
+TEST(SweepPivot, DagSlack) {
+  std::vector<PivotCell> cells;
+  for (const std::string w : {"nek", "lu"}) {
+    for (const std::string d : {"1MiB", "2MiB", "4MiB"}) {
+      const std::string off = w + "/unimem/dram" + d + "/dagoff";
+      const std::string slack = w + "/unimem/dram" + d + "/dagslack";
+      cells.push_back({0, {w, d}, "time off (s)", off, time4});
+      cells.push_back({0, {w, d}, "time slack (s)", slack, time4});
+      cells.push_back({0, {w, d}, "exposed off (s)", off, exposed4});
+      cells.push_back({0, {w, d}, "exposed slack (s)", slack, exposed4});
+      cells.push_back({0, {w, d}, "hidden frac", slack, hidden});
+      cells.push_back({0, {w, d}, "crit path (s)", slack, crit4});
+    }
+  }
+  expect_pivot("dag_slack", cells);
+}
+
+TEST(SweepPivot, OnlyPaperSpecsDeclareAPivot) {
+  const std::set<std::string> paper{"fig2",  "fig3",  "fig4",   "fig9",
+                                    "fig10", "fig11", "fig12",  "fig13",
+                                    "table4", "dag_slack"};
+  for (const std::string& name : spec_names())
+    EXPECT_EQ(spec_by_name(name)->table != nullptr, paper.count(name) == 1)
+        << name;
 }
 
 }  // namespace

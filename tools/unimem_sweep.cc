@@ -15,8 +15,10 @@
 // Runs a named SweepSpec through the SweepEngine: one World per point,
 // concurrency bounded by simulated ranks in flight, DRAM-only
 // normalization baselines memoized across the whole batch, results
-// reported in deterministic spec order.  UNIMEM_BENCH_SMOKE=1 (or
-// --smoke) shrinks the spec to smoke scale, same as the bench harnesses.
+// reported in deterministic spec order.  A paper spec prints its figure
+// table (SweepSpec::table); other specs, and merged, service, resumed or
+// axis-overridden (--profiler/--dag/--tiers) runs, print one row per point.  UNIMEM_BENCH_SMOKE=1 (or --smoke)
+// shrinks the spec to smoke scale.
 //
 // Sharding: `--shard i/N` runs the i-th deterministic slice of the
 // expansion (point indices stay those of the full expansion) and
@@ -722,7 +724,14 @@ int main(int argc, char** argv) try {
   // counters across the fleet.
   if (!a.task_meta.empty()) sweep::write_task_meta(a.task_meta, outcome);
 
-  if (!a.quiet) {
+  // A figure pivot reads in-memory-only RunResult fields, which resumed
+  // (JSONL round-trip) rows lack, so only rows run here get the pivot.  An
+  // axis override changes the grid the pivot was declared for (dag_slack
+  // keys on the dag axis --dag collapses), so it gets the per-point table.
+  const bool overridden = a.profiler_period || a.dag || a.tiers;
+  if (!a.quiet && spec->table != nullptr && resumed == 0 && !overridden) {
+    for (const exp::Report& rep : spec->table(*spec, outcome.rows)) rep.print();
+  } else if (!a.quiet) {
     store.report(spec->title + " [" + a.spec + ", " +
                  std::to_string(total_points) + " points]")
         .print();
