@@ -8,7 +8,8 @@
 #                           also runs first in the release stage)
 #   scripts/ci.sh release   docs -> benchmark gate self-test ->
 #                           configure+build (RelWithDebInfo) -> tier-1 ->
-#                           e2e aggregates -> bench smoke -> sweep smoke
+#                           e2e aggregates -> bench smoke -> full-scale
+#                           pins -> sweep smoke
 #   scripts/ci.sh asan      ASan+UBSan Debug build -> tier-1
 #   scripts/ci.sh tsan      TSan Debug build -> tier-1 -> sweep smoke
 #                           (minimpi + the migration helper thread + the
@@ -57,6 +58,11 @@ stage_release() {
 
   echo "== [release] bench smoke =="
   ctest --test-dir build -L bench-smoke --output-on-failure -j "$JOBS"
+
+  echo "== [release] full-scale pins =="
+  # Five specs' full-scale CSVs against their checked-in pins: full scale
+  # runs enough iterations to arm the variation monitor, smoke does not.
+  ctest --test-dir build -L sweep-pinned-full --output-on-failure -j "$JOBS"
 
   echo "== [release] sweep smoke =="
   # The unimem_sweep CLI end to end at smoke scale (tiny spec, parallel

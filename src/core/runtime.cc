@@ -8,6 +8,25 @@
 
 namespace unimem::rt {
 
+namespace {
+
+// Iterations profiled before planning ("a few invocations of each
+// phase"); more than one averages out sampling noise.
+constexpr int kProfileIterations = 2;
+// The variation monitor's "obvious variation" (paper: 10%).
+constexpr double kReprofileThreshold = 0.10;
+
+// Modeled runtime-overhead charges (virtual seconds): Table 4's "pure
+// runtime cost".
+constexpr double kSampleCostExactS = 25e-9;   // inline sample handling
+// Sampled tier: gate + buffer only; attribution runs out of band.
+constexpr double kSampleCostSampledS = 2e-9;
+constexpr double kPhaseCostS = 0.5e-6;       // queue status check / sync
+constexpr double kPlanItemCostS = 1e-6;      // modeling + knapsack per item
+constexpr double kPlanFixedCostS = 20e-6;
+
+}  // namespace
+
 Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
                  mem::DramArbiter* arbiter, mpi::Comm* comm)
     : opts_(opts), hms_(hms), comm_(comm) {
@@ -21,19 +40,13 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
   migrator_ = std::make_unique<MigrationEngine>(registry_.get());
   sampler_ = std::make_unique<perf::Sampler>(opts_.timing, opts_.sampler_seed);
 
-  dram_budget_ = opts_.dram_budget;
-  if (dram_budget_ == 0) {
-    std::size_t node_allowance = arbiter != nullptr
-                                     ? arbiter->allowance()
-                                     : hms_->config().dram.capacity_bytes;
-    dram_budget_ = node_allowance / std::max(1, opts_.ranks_per_node);
-  }
+  const std::size_t node_allowance = arbiter != nullptr
+                                         ? arbiter->allowance()
+                                         : hms_->config().dram.capacity_bytes;
+  dram_budget_ = node_allowance / std::max(1, opts_.ranks_per_node);
 
   // unimem_init: one-time calibration (STREAM + pointer chase, §3.1.2).
-  CalibrationOptions copts;
-  copts.t1_percent = opts_.t1_percent;
-  copts.t2_percent = opts_.t2_percent;
-  model_params_ = calibrate(hms_->config(), *cache_, opts_.timing, copts);
+  model_params_ = calibrate(hms_->config(), *cache_, opts_.timing);
   model_ = std::make_unique<PerformanceModel>(model_params_, hms_->config().dram,
                                               hms_->config().nvm);
   if (opts_.replan_epoch > 0 && opts_.enable_chunking) {
@@ -52,10 +65,6 @@ Runtime::Runtime(RuntimeOptions opts, mem::HeteroMemory* hms,
     aggregator_ = std::make_unique<ProfileAggregator>();
     perf::AdaptiveRate::Options aopts;
     aopts.base_period = std::max<std::uint64_t>(1, opts_.sample_period_mult);
-    aopts.max_period = opts_.sample_period_max;
-    aopts.high_watermark = opts_.sample_high_watermark;
-    aopts.low_watermark = opts_.sample_low_watermark;
-    aopts.enabled = opts_.adaptive_sampling;
     adaptive_rate_ = std::make_unique<perf::AdaptiveRate>(aopts);
   }
   if (comm_ != nullptr) comm_->set_hooks(this);
@@ -94,11 +103,7 @@ DataObject* Runtime::malloc_object(const std::string& name, std::size_t bytes,
   // promotes the hottest ones at unimem_start.  Chunk layout is policy-
   // invariant (see chunk_bytes_for); enable_chunking only controls whether
   // the planner may place chunks independently.
-  std::size_t cb = opts_.chunk_bytes != 0
-                       ? (traits.chunkable && bytes > kChunkThreshold
-                              ? opts_.chunk_bytes
-                              : 0)
-                       : chunk_bytes_for(traits.chunkable, bytes);
+  const std::size_t cb = chunk_bytes_for(traits.chunkable, bytes);
   // Allocation mutates the backstop arena (NVM on the 2-tier machine):
   // zombie blocks of in-flight fills must land first so the chosen offsets
   // stay in decision order.
@@ -185,7 +190,7 @@ void Runtime::iteration_begin() {
     return;
   }
   // Close the tail phase of the previous iteration.
-  close_phase(false, 0.0);
+  close_phase(false);
   // Sampled tier: the iteration boundary is the drain barrier — results
   // land in the Profiler and the adaptive rate steps, both on the rank
   // thread at this fixed point (deterministic regardless of when the
@@ -197,7 +202,7 @@ void Runtime::iteration_begin() {
   update_phase_dag();
 
   if (mode_ == Mode::kProfiling &&
-      ++profile_iters_in_row_ < std::max(1, opts_.profile_iterations)) {
+      ++profile_iters_in_row_ < kProfileIterations) {
     // Keep profiling: "a few invocations of each phase" average out the
     // sampling noise of any single iteration.
   } else if (mode_ == Mode::kProfiling) {
@@ -237,7 +242,7 @@ void Runtime::iteration_begin() {
 }
 
 void Runtime::end() {
-  close_phase(false, 0.0);
+  close_phase(false);
   flush_sampled_profile();
   double done_vt = migrator_->drain();
   double waited = clock().wait_until(done_vt);
@@ -258,11 +263,10 @@ void Runtime::open_phase() {
                       "phase", phase_idx_);
 }
 
-void Runtime::close_phase(bool is_comm, double comm_time) {
+void Runtime::close_phase(bool is_comm) {
   const double phase_time = clock().now() - phase_open_vt_;
   UNIMEM_TRACE_END2("runtime", "phase", clock().now(), "is_comm",
                     is_comm ? 1 : 0, "phase", phase_idx_);
-  (void)comm_time;
   ++phases_executed_;
   cur_phase_times_.push_back(phase_time);
   cur_phase_kinds_.push_back(is_comm ? 1 : 0);
@@ -284,7 +288,7 @@ void Runtime::close_phase(bool is_comm, double comm_time) {
           phase_windows_, phase_compute_s_, phase_time, scfg);
       profile_samples_ += samples.total_samples;
       charge_overhead(static_cast<double>(samples.miss_addresses.size()) *
-                      opts_.overhead_per_sample_sampled_s);
+                      kSampleCostSampledS);
       ProfileAggregator::Batch b;
       b.slot = profiler_.record_phase_pending(phase_time);
       b.phase_time_s = phase_time;
@@ -298,13 +302,13 @@ void Runtime::close_phase(bool is_comm, double comm_time) {
       perf::PhaseSamples samples =
           sampler_->sample_phase(phase_windows_, phase_compute_s_, phase_time);
       charge_overhead(static_cast<double>(samples.miss_addresses.size()) *
-                      opts_.overhead_per_sample_s);
+                      kSampleCostExactS);
       profiler_.record_phase(samples, *registry_->addr_snapshot(),
                              phase_time);
     }
   }
   if (mode_ == Mode::kEnforcing) {
-    charge_overhead(opts_.overhead_per_phase_s);
+    charge_overhead(kPhaseCostS);
     // Variation monitor (§3.2): compare with the same phase last iteration.
     // With the adaptive controller armed, the epoch cadence owns the drift
     // response (a monitor-triggered full re-profile would fight it).
@@ -313,7 +317,7 @@ void Runtime::close_phase(bool is_comm, double comm_time) {
         idx < prev_phase_times_.size()) {
       double prev = prev_phase_times_[idx];
       if (prev > 0 &&
-          std::abs(phase_time - prev) > opts_.reprofile_threshold * prev)
+          std::abs(phase_time - prev) > kReprofileThreshold * prev)
         reprofile_requested_ = true;
     }
   }
@@ -327,14 +331,14 @@ void Runtime::enqueue_phase_migrations(std::size_t phase_idx) {
   std::vector<MigrationEngine::Item> batch;
   batch.reserve(plan_.at_phase[phase_idx].size());
   for (const PlannedMigration& m : plan_.at_phase[phase_idx]) {
-    charge_overhead(opts_.overhead_per_phase_s);
+    charge_overhead(kPhaseCostS);
     batch.push_back(MigrationEngine::Item{m.unit, m.to, clock().now()});
   }
   if (!batch.empty()) migrator_->enqueue_batch(batch);
 }
 
 void Runtime::phase_boundary() {
-  close_phase(false, 0.0);
+  close_phase(false);
   ++phase_idx_;
   if (mode_ == Mode::kEnforcing) enqueue_phase_migrations(phase_idx_);
   open_phase();
@@ -364,14 +368,14 @@ void Runtime::on_pre_op(const mpi::OpInfo& info) {
   // enqueued here: the helper could start copying a unit while the op
   // memcpys the same buffer (the wait above only covers already-enqueued
   // work).  They are issued in on_post_op, once the op's copies are done.
-  close_phase(false, 0.0);
+  close_phase(false);
   ++phase_idx_;
   open_phase();
 }
 
 void Runtime::on_post_op(const mpi::OpInfo& info) {
   if (!started_ || !info.blocking) return;
-  close_phase(true, 0.0);
+  close_phase(true);
   ++phase_idx_;
   if (mode_ == Mode::kEnforcing) {
     enqueue_phase_migrations(phase_idx_ - 1);  // deferred from on_pre_op
@@ -501,21 +505,10 @@ void Runtime::make_plan() {
   }
   Planner planner(registry_.get(), model_.get(), popts);
   plan_ = planner.plan(profiler_);
-  if (!opts_.proactive_migration) {
-    // Ablation: synchronous migration — move everything at the phase that
-    // needs it, nothing is overlapped.
-    std::vector<std::vector<PlannedMigration>> sync(plan_.at_phase.size());
-    for (const auto& v : plan_.at_phase)
-      for (PlannedMigration m : v) {
-        m.trigger_phase = m.needed_phase;
-        sync[m.needed_phase].push_back(m);
-      }
-    plan_.at_phase = std::move(sync);
-  }
   std::size_t items = 0;
   for (const auto& ph : profiler_.phases()) items += ph.units.size();
-  charge_overhead(opts_.overhead_plan_fixed_s +
-                  static_cast<double>(items) * opts_.overhead_per_plan_item_s);
+  charge_overhead(kPlanFixedCostS +
+                  static_cast<double>(items) * kPlanItemCostS);
   if (replanner_ != nullptr) replanner_->observe(profiler_);
   UNIMEM_TRACE_END2("runtime", "plan.solve", clock().now(), "migrations",
                     plan_.migration_count(), "kind",
@@ -555,9 +548,8 @@ void Runtime::finish_epoch_check() {
       plan_ = std::move(d.plan);
       // Only the drifted items were re-scored: charge the bounded repair,
       // not a full planning pass over every (unit, phase) profile.
-      charge_overhead(opts_.overhead_plan_fixed_s +
-                      static_cast<double>(d.drift.drifted) *
-                          opts_.overhead_per_plan_item_s);
+      charge_overhead(kPlanFixedCostS +
+                      static_cast<double>(d.drift.drifted) * kPlanItemCostS);
       replanner_->observe(profiler_);
       enforce_iters_since_plan_ = 0;
       break;

@@ -56,23 +56,21 @@ enum class ProfilerMode { kExact, kSampled };
 /// off-path drift on the cheap keep-stale path.
 enum class DagSchedule { kOff, kSlack };
 
+/// What a caller chooses per run.  The paper's fixed constants are not
+/// options: T1/T2 live in ModelParams (core/models.h); the 10% re-profile
+/// trigger, the profiled-iteration count and Table 4's overhead charges
+/// sit next to their readers in runtime.cc.
 struct RuntimeOptions {
   // ---- technique switches (Fig. 11 ablation) --------------------------
   bool enable_global_search = true;   ///< technique (1)
   bool enable_local_search = true;    ///< technique (2)
   bool enable_chunking = true;        ///< technique (3)
   bool enable_initial_placement = true;  ///< technique (4)
-  /// false = synchronous migration at the needed phase (no helper-thread
-  /// overlap) — the ablation of the proactive mechanism.
-  bool proactive_migration = true;
 
   // ---- model / substrate ----------------------------------------------
   bool use_exact_cache = false;  ///< exact LLC sim instead of analytic
   cache::CacheConfig cache{};
   clk::TimingParams timing{};
-  double t1_percent = 80.0;
-  double t2_percent = 10.0;
-  double reprofile_threshold = 0.10;  ///< "obvious variation" (paper: 10%)
 
   // ---- adaptive re-planning (drift-aware incremental DP) ----------------
   /// Re-profile every `replan_epoch` enforcing iterations (while still
@@ -87,9 +85,6 @@ struct RuntimeOptions {
   /// Max fraction of drifted units repaired incrementally; past this the
   /// full knapsack DP re-runs.
   double drift_budget = 0.25;
-  /// Iterations profiled before planning ("a few invocations of each
-  /// phase"); > 1 averages out sampling noise.
-  int profile_iterations = 2;
   std::uint64_t sampler_seed = 42;
 
   // ---- phase-DAG critical-path scheduling -----------------------------
@@ -98,28 +93,11 @@ struct RuntimeOptions {
   // ---- profiling tier (profiler_mode = sampled) ------------------------
   ProfilerMode profiler_mode = ProfilerMode::kExact;
   /// Base PMU events per captured sample (sampled mode; 1 = capture all).
+  /// The period adapts from there (perf::AdaptiveRate's defaults).
   std::uint64_t sample_period_mult = 64;
-  std::uint64_t sample_period_max = 4096;
-  /// Adaptive backoff: widen the period when phases already attribute
-  /// plenty of evidence, narrow it back when evidence runs thin.  Updated
-  /// only at drain barriers, so the period sequence is deterministic.
-  bool adaptive_sampling = true;
-  std::uint64_t sample_high_watermark = 512;
-  std::uint64_t sample_low_watermark = 64;
 
-  /// DRAM bytes this rank plans with; 0 = node allowance / ranks_per_node.
-  std::size_t dram_budget = 0;
+  /// Ranks sharing one node; each plans with node allowance / this.
   int ranks_per_node = 1;
-  /// Chunk size override for large chunkable objects; 0 = kChunkBytes.
-  std::size_t chunk_bytes = 0;
-
-  // ---- modeled runtime-overhead charges (virtual seconds) --------------
-  double overhead_per_sample_s = 25e-9;   ///< exact: inline sample handling
-  /// sampled: gate + buffer only; attribution runs out of band.
-  double overhead_per_sample_sampled_s = 2e-9;
-  double overhead_per_phase_s = 0.5e-6;   ///< queue status check / sync
-  double overhead_per_plan_item_s = 1e-6; ///< modeling + knapsack per item
-  double overhead_plan_fixed_s = 20e-6;
 };
 
 struct RuntimeStats {
@@ -199,7 +177,7 @@ class Runtime final : public Context, public mpi::PmpiHooks {
 
   clk::VirtualClock& clock();
   const clk::VirtualClock& clock() const;
-  void close_phase(bool is_comm, double comm_time);
+  void close_phase(bool is_comm);
   void open_phase();
   /// Block until in-flight migrations of every unit overlapping
   /// [buf, buf+bytes) are done, charging the exposed wait (the MPI-path

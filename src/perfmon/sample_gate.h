@@ -81,7 +81,6 @@ class AdaptiveRate {
     std::uint64_t high_watermark = 512;
     /// ... below which it halves (down to base_period).
     std::uint64_t low_watermark = 64;
-    bool enabled = true;
   };
 
   explicit AdaptiveRate(Options opts)
@@ -94,7 +93,7 @@ class AdaptiveRate {
   /// Feed one profiled iteration's totals (drain barrier).
   void observe_iteration(std::uint64_t attributed_samples,
                          std::uint64_t phases) {
-    if (!opts_.enabled || phases == 0) return;
+    if (phases == 0) return;
     const std::uint64_t per_phase = attributed_samples / phases;
     if (per_phase > opts_.high_watermark)
       period_ = std::min(period_ * 2, opts_.max_period);

@@ -51,13 +51,11 @@ struct CoordinatorOptions {
   /// Concurrent worker slots (tasks in flight); also the shard_slice
   /// fan-out that decides chunk ownership.
   int workers = 2;
-  /// Allow idle workers to take chunks from other workers' queues.
+  /// Allow idle workers to take chunks from other workers' queues.  With
+  /// stealing each worker's slice is cut into about four tasks, so there is
+  /// something to steal; without it each worker runs its whole slice as
+  /// one task.
   bool steal = false;
-  /// Points per task; 0 = auto (slice/4 per worker, so every worker has
-  /// a few chunks to steal or finish early).  Ignored when steal is off
-  /// and chunking would only add dispatch overhead: each worker then gets
-  /// its whole slice as one task.
-  std::size_t chunk_points = 0;
   /// Re-dispatch budget for tasks whose worker died; when exhausted the
   /// task's unfinished points are finalized as failed rows naming the
   /// worker's fate.

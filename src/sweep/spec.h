@@ -46,7 +46,7 @@ struct SweepPoint {
   std::size_t index = 0;       ///< position in expansion order (stable)
   std::string label;           ///< "cg/nvm-only/bw0.50/lat1.0/dram8MiB"
   /// Axis values by name ("workload", "policy", "bw", "lat", "dram",
-  /// "rpn", "tech", "prof", "dag") — the pivot keys for table-shaped
+  /// "tech", "prof", "dag", "tiers") — the pivot keys for table-shaped
   /// consumers.
   std::map<std::string, std::string> axis;
   exp::RunConfig cfg;
@@ -65,7 +65,6 @@ struct SweepSpec {
   std::vector<double> nvm_bw_ratios{0.5};
   std::vector<double> nvm_lat_mults{1.0};
   std::vector<std::size_t> dram_capacities{8 * kMiB};
-  std::vector<int> ranks_per_node{1};
   std::vector<TechniqueSet> techniques{TechniqueSet{}};
   /// Profiling-tier axis: 0 = exact profiler, N > 0 = sampled profiler
   /// with base period N (rt::RuntimeOptions::sample_period_mult).  Only

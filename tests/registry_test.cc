@@ -363,9 +363,9 @@ TEST_F(RegistryTest, HeldSnapshotNeverChangesUnderConcurrentUpdates) {
       // the range just released.
       const std::size_t k = static_cast<std::size_t>(round) % ids.size();
       reg_.destroy(ids[k]);
-      ids[k] = reg_.create("r" + std::to_string(round), 64 * kKiB, {},
-                           mem::Tier::kNvm)
-                   ->id();
+      std::string name = "r";
+      name += std::to_string(round);
+      ids[k] = reg_.create(name, 64 * kKiB, {}, mem::Tier::kNvm)->id();
     }
     done.store(true, std::memory_order_release);
   });

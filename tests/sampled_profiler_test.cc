@@ -71,15 +71,6 @@ TEST(AdaptiveRate, BacksOffAndRecovers) {
   EXPECT_EQ(rate.period(), 64u);
 }
 
-TEST(AdaptiveRate, DisabledNeverMoves) {
-  perf::AdaptiveRate::Options o;
-  o.base_period = 64;
-  o.enabled = false;
-  perf::AdaptiveRate rate(o);
-  rate.observe_iteration(1 << 20, 1);
-  EXPECT_EQ(rate.period(), 64u);
-}
-
 // ---------------------------------------------------------------------------
 // Sampled stream fidelity + aggregation
 

@@ -609,7 +609,7 @@ TEST(TaskMeta, MutatedSidecarsAreRejectedOrReadExactly) {
           m.insert(at, 1, "0123456789-+ \nx"[rng.below(15)]);
           break;
         case 4:  // sign in front of a field
-          m.insert(at, "-");
+          m.insert(at, 1, '-');
           break;
         default:  // trailing junk
           m += "x";

@@ -127,7 +127,9 @@ cli::Table options(Args& a) {
           {"--spec", "NAME", "built-in spec to run (see --list)",
            cli::text(&a.spec), true},
           {"--list", "", "list the built-in specs and exit", cli::on(&a.list)},
-          {"--jobs", "N", "concurrent jobs (default: hardware threads)",
+          {"--jobs", "N",
+           "concurrent jobs (default: hardware threads); 1 is fastest when "
+           "the host has no more CPUs than a world has ranks",
            cli::integer(&a.engine.jobs, 0, 1 << 20, "an integer >= 0")},
           {"--ranks", "N", "max simulated ranks in flight (default: 4*jobs)",
            cli::integer(&a.engine.max_inflight_ranks, 0, 1 << 20,
